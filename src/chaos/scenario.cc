@@ -1,36 +1,13 @@
 #include "chaos/scenario.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/random.h"
+#include "common/spec.h"
 
 namespace approxhadoop::chaos {
 
-namespace {
-
-/** Shortest decimal form that strtod() reads back bit-identically;
- *  integral values print without an exponent (500, not 5e+02). */
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v) {
-            break;
-        }
-    }
-    return buf;
-}
-
-}  // namespace
+using spec::formatDouble;
 
 std::string
 Scenario::describe() const

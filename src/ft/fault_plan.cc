@@ -1,130 +1,74 @@
 #include "ft/fault_plan.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <set>
-#include <stdexcept>
+#include <limits>
 
 namespace approxhadoop::ft {
 
 namespace {
 
-/** Splits @p s on @p sep (no empty trailing fields). */
-std::vector<std::string>
-split(const std::string& s, char sep)
+const spec::Real kProbability{"a probability", 0.0, 1.0};
+const spec::Real kTime{"a time in s", 0.0};
+const spec::Real kDowntime{"a duration in s", 0.0};
+const spec::Real kKillTime{"a time in s", 0.0,
+                           std::numeric_limits<double>::infinity(), true};
+const spec::Count kServerId{"a server id", 0,
+                            std::numeric_limits<uint32_t>::max()};
+const spec::Count kServers{"a server count", 1, 100000};
+
+using Values = std::vector<std::string>;
+
+/** A probability-valued key stored in @p field; omitted at 0. */
+spec::Row<FaultPlan>
+probability(const char* key, const char* help, double FaultPlan::*field)
 {
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= s.size()) {
-        size_t end = s.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(s.substr(start));
-            break;
-        }
-        parts.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
+    return {key, "P", help,
+            [field](FaultPlan& plan, const std::string& v) {
+                plan.*field = kProbability.read(v);
+            },
+            [field](const FaultPlan& plan, Values& out) {
+                if (plan.*field > 0.0) {
+                    out.push_back(spec::formatDouble(plan.*field));
+                }
+            }};
 }
 
-double
-parseDouble(const std::string& token, const char* what)
+/** Splits a scheduled event "WHAT@T[+D]" at its '@'. */
+std::pair<std::string, std::string>
+splitAt(const std::string& value, const char* grammar)
 {
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-        throw std::invalid_argument(std::string("fault plan: bad ") + what +
-                                    " '" + token + "'");
+    size_t at = value.find('@');
+    if (at == std::string::npos) {
+        throw spec::BadValue(grammar, value);
     }
-    if (!std::isfinite(v)) {
-        throw std::invalid_argument(std::string("fault plan: ") + what +
-                                    " '" + token + "' must be finite");
-    }
-    return v;
+    return {value.substr(0, at), value.substr(at + 1)};
 }
 
-double
-parseProbability(const std::string& token, const char* what)
+/** Reads an event time "T[+D]" as {T, D}, D = -1 when absent; a +D is
+ *  rejected unless @p repairs. */
+std::pair<double, double>
+readWhen(const std::string& when, bool repairs = false)
 {
-    double p = parseDouble(token, what);
-    // Written as a negated range check so NaN (every comparison false)
-    // cannot slip through.
-    if (!(p >= 0.0 && p <= 1.0)) {
-        throw std::invalid_argument(std::string("fault plan: ") + what +
-                                    " must be in [0, 1], got '" + token +
-                                    "'");
-    }
-    return p;
-}
-
-uint32_t
-parseCount(const std::string& token, const char* what)
-{
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-        throw std::invalid_argument(std::string("fault plan: bad ") +
-                                    what + " '" + token +
-                                    "' (want a positive integer)");
-    }
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size() ||
-        v == 0 || v > 100000) {
-        throw std::invalid_argument(std::string("fault plan: ") + what +
-                                    " '" + token +
-                                    "' must be in [1, 100000]");
-    }
-    return static_cast<uint32_t>(v);
-}
-
-/** Parses the shared "T[+D]" time-and-optional-duration tail. */
-void
-parseWhen(const std::string& when_spec, const char* what, double& at,
-          double* down_for)
-{
-    std::string when = when_spec;
     size_t plus = when.find('+');
-    if (plus != std::string::npos) {
-        if (down_for == nullptr) {
-            throw std::invalid_argument(std::string("fault plan: ") +
-                                        what + " takes no +D duration");
-        }
-        *down_for = parseDouble(when.substr(plus + 1),
-                                (std::string(what) + " duration").c_str());
-        if (*down_for < 0.0) {
-            throw std::invalid_argument(std::string("fault plan: ") +
-                                        what + " duration must be >= 0");
-        }
-        when = when.substr(0, plus);
+    if (plus == std::string::npos) {
+        return {kTime.read(when), -1.0};
     }
-    at = parseDouble(when, (std::string(what) + " time").c_str());
-    if (at < 0.0) {
-        throw std::invalid_argument(std::string("fault plan: ") + what +
-                                    " time must be >= 0");
+    if (!repairs) {
+        throw spec::BadValue("a time T (this key takes no +D)", when);
     }
+    return {kTime.read(when.substr(0, plus)),
+            kDowntime.read(when.substr(plus + 1))};
 }
 
-uint64_t
-parseSeed(const std::string& token)
+/** Canonical "N@T[+D]" form; a negative @p down_for prints no +D. */
+std::string
+eventText(const std::string& what, double at, double down_for = -1.0)
 {
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-        throw std::invalid_argument("fault plan: bad seed '" + token +
-                                    "' (want a non-negative integer)");
+    std::string out = what + '@' + spec::formatDouble(at);
+    if (down_for >= 0.0) {
+        out += '+' + spec::formatDouble(down_for);
     }
-    errno = 0;
-    char* end = nullptr;
-    uint64_t v = std::strtoull(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size()) {
-        throw std::invalid_argument("fault plan: seed '" + token +
-                                    "' out of range");
-    }
-    return v;
+    return out;
 }
 
 }  // namespace
@@ -144,290 +88,170 @@ FaultPlan::changesFleet() const
            !scale_outs.empty() || !drains.empty();
 }
 
+const spec::Table<FaultPlan>&
+FaultPlan::grammar()
+{
+    static const spec::Table<FaultPlan> kTable = {
+        probability("crash", "per-attempt map crash probability",
+                    &FaultPlan::task_crash_prob),
+        probability("corrupt",
+                    "per-fetch shuffle-chunk corruption\nprobability",
+                    &FaultPlan::chunk_corrupt_prob),
+        probability("badrec", "per-record bad-input probability",
+                    &FaultPlan::bad_record_prob),
+        probability("rcrash", "per-attempt reduce crash probability",
+                    &FaultPlan::reduce_crash_prob),
+        {"straggler", "P:F[:S]",
+         "probability, slowdown factor >= 1,\noptional lognormal sigma",
+         [](FaultPlan& plan, const std::string& v) {
+             std::vector<std::string> f = spec::split(v, ':');
+             if (f.size() > 3) {
+                 throw spec::BadValue("P[:F[:S]]", v);
+             }
+             plan.straggler_prob = kProbability.read(f[0]);
+             if (f.size() > 1) {
+                 plan.straggler_factor =
+                     spec::Real{"a slowdown factor", 1.0}.read(f[1]);
+             }
+             if (f.size() > 2) {
+                 plan.straggler_sigma =
+                     spec::Real{"a lognormal sigma", 0.0}.read(f[2]);
+             }
+         },
+         [](const FaultPlan& plan, Values& out) {
+             if (plan.straggler_prob > 0.0) {
+                 std::string s = spec::formatDouble(plan.straggler_prob) +
+                                 ':' +
+                                 spec::formatDouble(plan.straggler_factor);
+                 if (plan.straggler_sigma > 0.0) {
+                     s += ':' + spec::formatDouble(plan.straggler_sigma);
+                 }
+                 out.push_back(s);
+             }
+         }},
+        {"server", "ID@T[+D]",
+         "crash server ID at simulated time T,\n"
+         "repaired after D s (repeatable)",
+         [](FaultPlan& plan, const std::string& v) {
+             auto [id, when] = splitAt(v, "ID@T[+D]");
+             auto [at, down_for] = readWhen(when, true);
+             plan.server_crashes.push_back(
+                 {static_cast<uint32_t>(kServerId.read(id)), at, down_for});
+         },
+         [](const FaultPlan& plan, Values& out) {
+             for (const ServerCrash& c : plan.server_crashes) {
+                 out.push_back(
+                     eventText(std::to_string(c.server), c.at, c.down_for));
+             }
+         },
+         true},
+        {"revoke", "N@T[+D]",
+         "kill N servers at once at time T\n"
+         "(correlated revocation storm; kills\n"
+         "min(N, alive-1) so the job can finish);\n"
+         "+D repairs them, else they leave for good\n"
+         "(repeatable)",
+         [](FaultPlan& plan, const std::string& v) {
+             auto [count, when] = splitAt(v, "N@T[+D]");
+             auto [at, down_for] = readWhen(when, true);
+             plan.revocations.push_back(
+                 {static_cast<uint32_t>(kServers.read(count)), at, down_for});
+         },
+         [](const FaultPlan& plan, Values& out) {
+             for (const Revocation& r : plan.revocations) {
+                 out.push_back(
+                     eventText(std::to_string(r.count), r.at, r.down_for));
+             }
+         },
+         true},
+        {"addsrv", "NCLASS@T",
+         "N servers of CLASS (xeon|atom) join the\n"
+         "fleet at time T (repeatable)",
+         [](FaultPlan& plan, const std::string& v) {
+             const char* grammar = "NCLASS@T (e.g. 4atom@90)";
+             auto [term, when] = splitAt(v, grammar);
+             auto [count, cls] = spec::countedTerm(term, kServers, grammar);
+             if (cls != "xeon" && cls != "atom") {
+                 throw spec::BadValue("a class xeon or atom", cls);
+             }
+             plan.scale_outs.push_back({static_cast<uint32_t>(count), cls,
+                                        readWhen(when).first});
+         },
+         [](const FaultPlan& plan, Values& out) {
+             for (const ScaleOut& a : plan.scale_outs) {
+                 out.push_back(eventText(
+                     std::to_string(a.count) + a.server_class, a.at));
+             }
+         },
+         true},
+        {"drain", "N@T",
+         "gracefully decommission N servers at\n"
+         "time T, newest first (repeatable)",
+         [](FaultPlan& plan, const std::string& v) {
+             auto [count, when] = splitAt(v, "N@T");
+             plan.drains.push_back(
+                 {static_cast<uint32_t>(kServers.read(count)),
+                  readWhen(when).first});
+         },
+         [](const FaultPlan& plan, Values& out) {
+             for (const Drain& d : plan.drains) {
+                 out.push_back(eventText(std::to_string(d.count), d.at));
+             }
+         },
+         true},
+        {"dcrash", "T",
+         "kill the driver at simulated time T; the\n"
+         "restarted driver resumes from its\n"
+         "--journal (repeatable)",
+         [](FaultPlan& plan, const std::string& v) {
+             plan.driver_crashes.push_back(kKillTime.read(v));
+         },
+         [](const FaultPlan& plan, Values& out) {
+             for (double at : plan.driver_crashes) {
+                 out.push_back(spec::formatDouble(at));
+             }
+         },
+         true},
+        {"seed", "S", "fault-stream seed (non-negative integer)",
+         [](FaultPlan& plan, const std::string& v) {
+             plan.seed = spec::Count{"a non-negative integer"}.read(v);
+         },
+         [](const FaultPlan& plan, Values& out) {
+             if (plan.seed != 0) {
+                 out.push_back(std::to_string(plan.seed));
+             }
+         }},
+    };
+    return kTable;
+}
+
 FaultPlan
 FaultPlan::parse(const std::string& spec)
 {
     FaultPlan plan;
-    if (spec.empty()) {
-        return plan;
-    }
-    std::set<std::string> seen;
-    for (const std::string& clause : split(spec, ',')) {
-        size_t eq = clause.find('=');
-        if (eq == std::string::npos) {
-            throw std::invalid_argument("fault plan: clause '" + clause +
-                                        "' is not key=value");
-        }
-        std::string key = clause.substr(0, eq);
-        std::string value = clause.substr(eq + 1);
-        // The scheduled-event keys may legitimately repeat (several
-        // crashes/storms/resizes); for every other key a repeat is a
-        // spec mistake, not a merge.
-        bool repeatable = key == "server" || key == "revoke" ||
-                          key == "addsrv" || key == "drain" ||
-                          key == "dcrash";
-        if (!repeatable && !seen.insert(key).second) {
-            throw std::invalid_argument("fault plan: duplicate clause '" +
-                                        key + "'");
-        }
-        if (key == "crash") {
-            plan.task_crash_prob =
-                parseProbability(value, "crash probability");
-        } else if (key == "corrupt") {
-            plan.chunk_corrupt_prob =
-                parseProbability(value, "corrupt probability");
-        } else if (key == "badrec") {
-            plan.bad_record_prob =
-                parseProbability(value, "badrec probability");
-        } else if (key == "rcrash") {
-            plan.reduce_crash_prob =
-                parseProbability(value, "rcrash probability");
-        } else if (key == "straggler") {
-            std::vector<std::string> f = split(value, ':');
-            if (f.empty() || f.size() > 3) {
-                throw std::invalid_argument(
-                    "fault plan: straggler wants P[:F[:S]]");
-            }
-            plan.straggler_prob =
-                parseProbability(f[0], "straggler probability");
-            if (f.size() > 1) {
-                plan.straggler_factor =
-                    parseDouble(f[1], "straggler factor");
-                if (plan.straggler_factor < 1.0) {
-                    throw std::invalid_argument(
-                        "fault plan: straggler factor must be >= 1");
-                }
-            }
-            if (f.size() > 2) {
-                plan.straggler_sigma = parseDouble(f[2], "straggler sigma");
-                if (plan.straggler_sigma < 0.0) {
-                    throw std::invalid_argument(
-                        "fault plan: straggler sigma must be >= 0");
-                }
-            }
-        } else if (key == "server") {
-            size_t at = value.find('@');
-            if (at == std::string::npos) {
-                throw std::invalid_argument(
-                    "fault plan: server wants ID@T[+D]");
-            }
-            ServerCrash crash;
-            crash.server = static_cast<uint32_t>(
-                parseDouble(value.substr(0, at), "server id"));
-            std::string when = value.substr(at + 1);
-            size_t plus = when.find('+');
-            if (plus != std::string::npos) {
-                crash.down_for =
-                    parseDouble(when.substr(plus + 1), "server downtime");
-                if (crash.down_for < 0.0) {
-                    throw std::invalid_argument(
-                        "fault plan: server downtime must be >= 0");
-                }
-                when = when.substr(0, plus);
-            }
-            crash.at = parseDouble(when, "server crash time");
-            if (crash.at < 0.0) {
-                throw std::invalid_argument(
-                    "fault plan: server crash time must be >= 0");
-            }
-            plan.server_crashes.push_back(crash);
-        } else if (key == "revoke") {
-            size_t at = value.find('@');
-            if (at == std::string::npos) {
-                throw std::invalid_argument(
-                    "fault plan: revoke wants N@T[+D]");
-            }
-            Revocation storm;
-            storm.count =
-                parseCount(value.substr(0, at), "revoke count");
-            parseWhen(value.substr(at + 1), "revoke", storm.at,
-                      &storm.down_for);
-            plan.revocations.push_back(storm);
-        } else if (key == "addsrv") {
-            size_t at = value.find('@');
-            if (at == std::string::npos) {
-                throw std::invalid_argument(
-                    "fault plan: addsrv wants NCLASS@T (e.g. 4atom@90)");
-            }
-            std::string term = value.substr(0, at);
-            size_t digits = 0;
-            while (digits < term.size() &&
-                   std::isdigit(static_cast<unsigned char>(
-                       term[digits]))) {
-                ++digits;
-            }
-            if (digits == 0 || digits == term.size()) {
-                throw std::invalid_argument(
-                    "fault plan: addsrv wants NCLASS@T (e.g. 4atom@90)");
-            }
-            ScaleOut add;
-            add.count = parseCount(term.substr(0, digits), "addsrv count");
-            add.server_class = term.substr(digits);
-            if (add.server_class != "xeon" && add.server_class != "atom") {
-                throw std::invalid_argument(
-                    "fault plan: addsrv class '" + add.server_class +
-                    "' unknown (want xeon or atom)");
-            }
-            parseWhen(value.substr(at + 1), "addsrv", add.at, nullptr);
-            plan.scale_outs.push_back(add);
-        } else if (key == "drain") {
-            size_t at = value.find('@');
-            if (at == std::string::npos) {
-                throw std::invalid_argument("fault plan: drain wants N@T");
-            }
-            Drain drain;
-            drain.count = parseCount(value.substr(0, at), "drain count");
-            parseWhen(value.substr(at + 1), "drain", drain.at, nullptr);
-            plan.drains.push_back(drain);
-        } else if (key == "dcrash") {
-            double at = parseDouble(value, "dcrash time");
-            if (!(at > 0.0)) {
-                throw std::invalid_argument(
-                    "fault plan: dcrash time must be > 0");
-            }
-            plan.driver_crashes.push_back(at);
-        } else if (key == "seed") {
-            plan.seed = parseSeed(value);
-        } else {
-            throw std::invalid_argument("fault plan: unknown clause '" +
-                                        key + "'");
-        }
-    }
+    spec::parse(spec, grammar(), plan, "fault plan:");
     return plan;
 }
-
-namespace {
-
-/** Shortest decimal form that strtod() reads back bit-identically.
- *  Never uses exponent notation for representable magnitudes: a '+' in
- *  "1.5e+02" would collide with the server=ID@T+D duration separator. */
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v &&
-            std::strchr(buf, 'e') == nullptr) {
-            return buf;
-        }
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v) {
-            break;
-        }
-    }
-    return buf;
-}
-
-}  // namespace
 
 std::string
 FaultPlan::spec() const
 {
-    std::string out;
-    auto clause = [&out](const std::string& text) {
-        if (!out.empty()) {
-            out += ',';
-        }
-        out += text;
-    };
-    if (task_crash_prob > 0.0) {
-        clause("crash=" + formatDouble(task_crash_prob));
-    }
-    if (chunk_corrupt_prob > 0.0) {
-        clause("corrupt=" + formatDouble(chunk_corrupt_prob));
-    }
-    if (bad_record_prob > 0.0) {
-        clause("badrec=" + formatDouble(bad_record_prob));
-    }
-    if (reduce_crash_prob > 0.0) {
-        clause("rcrash=" + formatDouble(reduce_crash_prob));
-    }
-    if (straggler_prob > 0.0) {
-        std::string s = "straggler=" + formatDouble(straggler_prob) + ':' +
-                        formatDouble(straggler_factor);
-        if (straggler_sigma > 0.0) {
-            s += ':' + formatDouble(straggler_sigma);
-        }
-        clause(s);
-    }
-    for (const ServerCrash& crash : server_crashes) {
-        std::string s = "server=" + std::to_string(crash.server) + '@' +
-                        formatDouble(crash.at);
-        if (crash.down_for >= 0.0) {
-            s += '+' + formatDouble(crash.down_for);
-        }
-        clause(s);
-    }
-    for (const Revocation& storm : revocations) {
-        std::string s = "revoke=" + std::to_string(storm.count) + '@' +
-                        formatDouble(storm.at);
-        if (storm.down_for >= 0.0) {
-            s += '+' + formatDouble(storm.down_for);
-        }
-        clause(s);
-    }
-    for (const ScaleOut& add : scale_outs) {
-        clause("addsrv=" + std::to_string(add.count) + add.server_class +
-               '@' + formatDouble(add.at));
-    }
-    for (const Drain& drain : drains) {
-        clause("drain=" + std::to_string(drain.count) + '@' +
-               formatDouble(drain.at));
-    }
-    for (double at : driver_crashes) {
-        clause("dcrash=" + formatDouble(at));
-    }
-    if (seed != 0) {
-        clause("seed=" + std::to_string(seed));
-    }
-    return out;
+    return spec::emit(grammar(), *this);
 }
 
 const std::vector<std::string>&
 FaultPlan::specKeys()
 {
-    static const std::vector<std::string> kKeys = {
-        "crash",  "corrupt", "badrec", "rcrash", "straggler", "server",
-        "revoke", "addsrv",  "drain",  "dcrash", "seed"};
+    static const std::vector<std::string> kKeys = spec::keys(grammar());
     return kKeys;
 }
 
 std::string
 FaultPlan::helpText()
 {
-    return "comma-separated clauses (all optional):\n"
-           "  crash=P            per-attempt map crash probability\n"
-           "  corrupt=P          per-fetch shuffle-chunk corruption "
-           "probability\n"
-           "  badrec=P           per-record bad-input probability\n"
-           "  rcrash=P           per-attempt reduce crash probability\n"
-           "  straggler=P:F[:S]  probability, slowdown factor >= 1, "
-           "optional lognormal sigma\n"
-           "  server=ID@T[+D]    crash server ID at simulated time T, "
-           "repaired after D s (repeatable)\n"
-           "  revoke=N@T[+D]     kill N servers at once at time T "
-           "(correlated revocation storm; kills min(N, alive-1) so the "
-           "job can finish); +D repairs them, else they leave for good "
-           "(repeatable)\n"
-           "  addsrv=NCLASS@T    N servers of CLASS (xeon|atom) join "
-           "the fleet at time T (repeatable)\n"
-           "  drain=N@T          gracefully decommission N servers at "
-           "time T, newest first (repeatable)\n"
-           "  dcrash=T           kill the driver at simulated time T; "
-           "the restarted driver resumes from its --journal "
-           "(repeatable)\n"
-           "  seed=S             fault-stream seed (non-negative "
-           "integer)\n"
-           "e.g. \"crash=0.05,straggler=0.02:6,server=3@120+60,seed=7\" "
+    return "comma-separated clauses (all optional):\n" +
+           spec::help(grammar(), 21) +
+           "e.g. \"crash=0.05,straggler=0.02:6,server=3@120+60,seed=7\"\n"
            "or \"revoke=3@60,addsrv=4atom@90\"";
 }
 

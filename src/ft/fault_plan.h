@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.h"
+
 namespace approxhadoop::ft {
 
 /**
@@ -147,34 +149,18 @@ struct FaultPlan
     bool hasDriverCrash() const { return !driver_crashes.empty(); }
 
     /**
-     * Parses a command-line plan spec: comma-separated clauses
-     *
-     *   crash=P            per-attempt crash probability
-     *   corrupt=P          per-fetch shuffle-chunk corruption probability
-     *   badrec=P           per-record bad-input probability
-     *   rcrash=P           per-attempt reduce crash probability
-     *   straggler=P:F[:S]  probability, factor, optional lognormal sigma
-     *   server=ID@T[+D]    crash server ID at time T, repaired after D s
-     *   revoke=N@T[+D]     kill N servers at once at time T (correlated
-     *                      revocation storm); +D repairs them after D s,
-     *                      otherwise they leave the fleet for good
-     *   addsrv=NCLASS@T    N servers of CLASS (xeon|atom) join at time
-     *                      T, cluster-grammar term style (e.g. 4atom)
-     *   drain=N@T          gracefully decommission N servers at time T
-     *   dcrash=T           kill the driver at time T (restart resumes
-     *                      from the write-ahead journal; repeatable)
-     *   seed=S             fault-stream seed
-     *
-     * e.g. "crash=0.05,corrupt=0.05,rcrash=0.1,server=3@120+60" or
+     * The plan grammar: comma-separated `key=value` clauses, one table
+     * row per key (helpText() lists them). Events may repeat (server,
+     * revoke, addsrv, drain, dcrash); any other repeated key, an
+     * unknown key, trailing garbage after a number, and NaN, negative
+     * or > 1 probabilities are rejected. e.g.
+     * "crash=0.05,corrupt=0.05,rcrash=0.1,server=3@120+60" or
      * "revoke=3@60,addsrv=4atom@90".
-     *
-     * Malformed specs are rejected loudly rather than silently
-     * accepted: NaN/negative/>1 probabilities, trailing garbage after a
-     * number, and duplicate keys (except `server`, `revoke`, `addsrv`,
-     * and `drain`, which may repeat) all throw.
-     *
-     * @throws std::invalid_argument on malformed input
      */
+    static const spec::Table<FaultPlan>& grammar();
+
+    /** Parses a plan spec through grammar().
+     *  @throws std::invalid_argument on malformed input */
     static FaultPlan parse(const std::string& spec);
 
     /**

@@ -1,9 +1,6 @@
 #include "service/service_spec.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <set>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -12,80 +9,6 @@
 namespace approxhadoop::service {
 
 namespace {
-
-std::vector<std::string>
-split(const std::string& s, char sep)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= s.size()) {
-        size_t end = s.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(s.substr(start));
-            break;
-        }
-        parts.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
-}
-
-double
-parseDouble(const std::string& token, const char* what)
-{
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-        throw std::invalid_argument(std::string("service spec: bad ") +
-                                    what + " '" + token + "'");
-    }
-    if (!std::isfinite(v)) {
-        throw std::invalid_argument(std::string("service spec: ") + what +
-                                    " '" + token + "' must be finite");
-    }
-    return v;
-}
-
-double
-parsePositive(const std::string& token, const char* what)
-{
-    double v = parseDouble(token, what);
-    if (!(v > 0.0)) {
-        throw std::invalid_argument(std::string("service spec: ") + what +
-                                    " must be > 0, got '" + token + "'");
-    }
-    return v;
-}
-
-double
-parseNonNegative(const std::string& token, const char* what)
-{
-    double v = parseDouble(token, what);
-    if (!(v >= 0.0)) {
-        throw std::invalid_argument(std::string("service spec: ") + what +
-                                    " must be >= 0, got '" + token + "'");
-    }
-    return v;
-}
-
-uint64_t
-parseUint(const std::string& token, const char* what)
-{
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-        throw std::invalid_argument(std::string("service spec: bad ") +
-                                    what + " '" + token +
-                                    "' (want a non-negative integer)");
-    }
-    errno = 0;
-    char* end = nullptr;
-    uint64_t v = std::strtoull(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size()) {
-        throw std::invalid_argument(std::string("service spec: ") + what +
-                                    " '" + token + "' out of range");
-    }
-    return v;
-}
 
 /** Builds the default N-class tenant ladder: t0 highest priority,
  *  weights halving per class so higher classes dominate fair share. */
@@ -104,175 +27,184 @@ defaultTenants(uint64_t count)
     return tenants;
 }
 
+/** Parse state: the spec plus the SLO list, which can only be checked
+ *  against the tenant count once every clause is read. */
+struct Draft
+{
+    ServiceSpec spec;
+    std::vector<double> slos;
+};
+
+using Values = std::vector<std::string>;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** A real-valued knob; echoed in the report's deterministic JSON number
+ *  form (shortest round-trip) so the summary is byte-stable. */
+spec::Row<Draft>
+real(const char* key, const char* meta, const char* help,
+     spec::Real grammar, double ServiceSpec::*field)
+{
+    return {key, meta, help,
+            [grammar, field](Draft& d, const std::string& v) {
+                d.spec.*field = grammar.read(v);
+            },
+            [field](const Draft& d, Values& out) {
+                out.push_back(obs::JsonWriter::number(d.spec.*field));
+            }};
+}
+
+spec::Row<Draft>
+count(const char* key, const char* meta, const char* help,
+      spec::Count grammar, uint64_t ServiceSpec::*field)
+{
+    return {key, meta, help,
+            [grammar, field](Draft& d, const std::string& v) {
+                d.spec.*field = grammar.read(v);
+            },
+            [field](const Draft& d, Values& out) {
+                out.push_back(std::to_string(d.spec.*field));
+            }};
+}
+
+/** A 0|1 switch, echoed only when on. */
+spec::Row<Draft>
+onOff(const char* key, const char* help, bool ServiceSpec::*field)
+{
+    return {key, "0|1", help,
+            [field](Draft& d, const std::string& v) {
+                d.spec.*field = spec::Count{"a switch", 0, 1}.read(v) == 1;
+            },
+            [field](const Draft& d, Values& out) {
+                if (d.spec.*field) {
+                    out.push_back("1");
+                }
+            }};
+}
+
+/** The fault-plan row @p key, applied to the per-job fault plan. Not
+ *  emitted: specSummary() echoes the whole plan as `faults=`. */
+spec::Row<Draft>
+faultRow(const char* key)
+{
+    const spec::Row<ft::FaultPlan>& row =
+        *spec::find(ft::FaultPlan::grammar(), key);
+    return {row.name, row.meta, row.help,
+            [&row](Draft& d, const std::string& v) {
+                row.apply(d.spec.fault_plan, v);
+            }};
+}
+
+const spec::Table<Draft>&
+grammar()
+{
+    const spec::Count kNonNegative{"a non-negative integer"};
+    const spec::Count kPositive{"an integer", 1};
+    static const spec::Table<Draft> kTable = {
+        {"tenants", "N", "priority classes t0..t(N-1); t0 highest",
+         [](Draft& d, const std::string& v) {
+             d.spec.tenants =
+                 defaultTenants(spec::Count{"a tenant count", 1, 16}.read(v));
+         },
+         [](const Draft& d, Values& out) {
+             out.push_back(std::to_string(d.spec.tenants.size()));
+         }},
+        real("arrival", "R", "aggregate arrival rate, jobs/sim-second",
+             {"a rate", 0.0, kInf, true}, &ServiceSpec::arrival_rate),
+        real("duration", "D", "arrival window, sim seconds",
+             {"a duration", 0.0, kInf, true}, &ServiceSpec::duration),
+        count("seed", "S", "root seed (arrivals and per-job seeds)",
+              kNonNegative, &ServiceSpec::seed),
+        count("blocks", "B", "per-job dataset blocks", kPositive,
+              &ServiceSpec::blocks),
+        count("items", "I", "per-job items per block", kPositive,
+              &ServiceSpec::items),
+        {"reducers", "R", "reduce tasks per job",
+         [](Draft& d, const std::string& v) {
+             d.spec.reducers = static_cast<uint32_t>(
+                 spec::Count{"an integer", 1, 1024}.read(v));
+         },
+         [](const Draft& d, Values& out) {
+             out.push_back(std::to_string(d.spec.reducers));
+         }},
+        real("target", "E", "per-job target relative error",
+             {"a relative error", 0.0, kInf, true},
+             &ServiceSpec::target_rel_error),
+        count("pressure", "K", "queue depth triggering degradation (0=off)",
+              kNonNegative, &ServiceSpec::pressure_threshold),
+        real("degrade", "F", "target widening factor per pressure step",
+             {"a factor", 1.0}, &ServiceSpec::degrade_factor),
+        real("maxscale", "M", "cap on total target widening",
+             {"a scale", 1.0}, &ServiceSpec::max_target_scale),
+        real("endgame", "P", "endgame speculation left-percent (0=off)",
+             {"a percentage", 0.0, 100.0},
+             &ServiceSpec::endgame_left_percent),
+        {"cluster", "SPEC",
+         "xeon10 (default), atom60, or a mixed\n"
+         "fleet like 10xeon+20atom",
+         [](Draft& d, const std::string& v) {
+             (void)sim::ClusterConfig::parse(v);
+             d.spec.cluster = v;
+         },
+         [](const Draft& d, Values& out) { out.push_back(d.spec.cluster); }},
+        onOff("preempt",
+              "suspend the least important running job\n"
+              "when a more important arrival cannot\n"
+              "admit (resumed later; no work lost)",
+              &ServiceSpec::preempt),
+        onOff("defer",
+              "hold lower-priority admissions while a\n"
+              "priority-0 job is active",
+              &ServiceSpec::defer),
+        {"slo", "A+B+...", "per-tenant p99 SLO seconds",
+         [](Draft& d, const std::string& v) {
+             for (const std::string& s : spec::split(v, '+')) {
+                 d.slos.push_back(spec::Real{"SLO seconds", 0.0}.read(s));
+             }
+         }},
+        {"workloads", "a+b+...", "job-mix workload names",
+         [](Draft& d, const std::string& v) {
+             d.spec.workloads = spec::split(v, '+');
+             for (const std::string& w : d.spec.workloads) {
+                 if (w.empty()) {
+                     throw spec::BadValue("'+'-separated workload names", v);
+                 }
+             }
+         }},
+        faultRow("straggler"),
+        faultRow("crash"),
+    };
+    return kTable;
+}
+
 }  // namespace
 
 ServiceSpec
-parseServiceSpec(const std::string& spec)
+parseServiceSpec(const std::string& text)
 {
-    ServiceSpec out;
-    out.tenants = defaultTenants(2);
-    if (spec.empty()) {
-        return out;
-    }
-
-    std::set<std::string> seen;
-    std::vector<double> slos;
-    for (const std::string& clause : split(spec, ',')) {
-        size_t eq = clause.find('=');
-        if (eq == std::string::npos) {
-            throw std::invalid_argument("service spec: clause '" + clause +
-                                        "' is not key=value");
-        }
-        std::string key = clause.substr(0, eq);
-        std::string value = clause.substr(eq + 1);
-        if (!seen.insert(key).second) {
-            throw std::invalid_argument("service spec: duplicate clause '" +
-                                        key + "'");
-        }
-        if (key == "tenants") {
-            uint64_t n = parseUint(value, "tenant count");
-            if (n < 1 || n > 16) {
-                throw std::invalid_argument(
-                    "service spec: tenants must be in [1, 16]");
-            }
-            out.tenants = defaultTenants(n);
-        } else if (key == "arrival") {
-            out.arrival_rate = parsePositive(value, "arrival rate");
-        } else if (key == "duration") {
-            out.duration = parsePositive(value, "duration");
-        } else if (key == "seed") {
-            out.seed = parseUint(value, "seed");
-        } else if (key == "blocks") {
-            out.blocks = parseUint(value, "blocks");
-            if (out.blocks == 0) {
-                throw std::invalid_argument(
-                    "service spec: blocks must be >= 1");
-            }
-        } else if (key == "items") {
-            out.items = parseUint(value, "items");
-            if (out.items == 0) {
-                throw std::invalid_argument(
-                    "service spec: items must be >= 1");
-            }
-        } else if (key == "reducers") {
-            uint64_t r = parseUint(value, "reducers");
-            if (r < 1 || r > 1024) {
-                throw std::invalid_argument(
-                    "service spec: reducers must be in [1, 1024]");
-            }
-            out.reducers = static_cast<uint32_t>(r);
-        } else if (key == "target") {
-            out.target_rel_error = parsePositive(value, "target error");
-        } else if (key == "pressure") {
-            out.pressure_threshold = parseUint(value, "pressure threshold");
-        } else if (key == "degrade") {
-            out.degrade_factor = parseDouble(value, "degrade factor");
-            if (out.degrade_factor < 1.0) {
-                throw std::invalid_argument(
-                    "service spec: degrade factor must be >= 1");
-            }
-        } else if (key == "maxscale") {
-            out.max_target_scale = parseDouble(value, "max target scale");
-            if (out.max_target_scale < 1.0) {
-                throw std::invalid_argument(
-                    "service spec: maxscale must be >= 1");
-            }
-        } else if (key == "endgame") {
-            out.endgame_left_percent =
-                parseNonNegative(value, "endgame percent");
-            if (out.endgame_left_percent > 100.0) {
-                throw std::invalid_argument(
-                    "service spec: endgame percent must be <= 100");
-            }
-        } else if (key == "preempt" || key == "defer") {
-            uint64_t v = parseUint(value, key.c_str());
-            if (v > 1) {
-                throw std::invalid_argument("service spec: " + key +
-                                            " must be 0 or 1");
-            }
-            (key == "preempt" ? out.preempt : out.defer) = v == 1;
-        } else if (key == "slo") {
-            for (const std::string& s : split(value, '+')) {
-                slos.push_back(parseNonNegative(s, "SLO seconds"));
-            }
-        } else if (key == "workloads") {
-            out.workloads = split(value, '+');
-            for (const std::string& w : out.workloads) {
-                if (w.empty()) {
-                    throw std::invalid_argument(
-                        "service spec: empty workload name");
-                }
-            }
-        } else if (key == "cluster") {
-            // Full fleet grammar: presets (xeon10, atom60) or mixed
-            // terms like 10xeon+20atom. Delegate validation to the
-            // cluster-spec parser so the grammars cannot drift apart.
-            try {
-                (void)sim::ClusterConfig::parse(value);
-            } catch (const std::invalid_argument& e) {
-                throw std::invalid_argument(
-                    std::string("service spec: bad cluster spec: ") +
-                    e.what());
-            }
-            out.cluster = value;
-        } else if (key == "straggler" || key == "crash") {
-            // Delegate the fault clauses to the fault-plan grammar so
-            // the two spec languages cannot drift apart.
-            ft::FaultPlan partial = ft::FaultPlan::parse(clause);
-            if (key == "straggler") {
-                out.fault_plan.straggler_prob = partial.straggler_prob;
-                out.fault_plan.straggler_factor = partial.straggler_factor;
-                out.fault_plan.straggler_sigma = partial.straggler_sigma;
-            } else {
-                out.fault_plan.task_crash_prob = partial.task_crash_prob;
-            }
-        } else {
-            throw std::invalid_argument("service spec: unknown clause '" +
-                                        key + "'");
-        }
-    }
-
-    if (!slos.empty()) {
-        if (slos.size() != out.tenants.size()) {
+    Draft d;
+    d.spec.tenants = defaultTenants(2);
+    spec::parse(text, grammar(), d, "service spec:");
+    if (!d.slos.empty()) {
+        if (d.slos.size() != d.spec.tenants.size()) {
             throw std::invalid_argument(
                 "service spec: slo wants one value per tenant (" +
-                std::to_string(out.tenants.size()) + ", got " +
-                std::to_string(slos.size()) + ")");
+                std::to_string(d.spec.tenants.size()) + ", got " +
+                std::to_string(d.slos.size()) + ")");
         }
-        for (size_t i = 0; i < slos.size(); ++i) {
-            out.tenants[i].slo_seconds = slos[i];
+        for (size_t i = 0; i < d.slos.size(); ++i) {
+            d.spec.tenants[i].slo_seconds = d.slos[i];
         }
     }
-    return out;
+    return d.spec;
 }
 
 std::string
-specSummary(const ServiceSpec& spec)
+specSummary(const ServiceSpec& config)
 {
-    // Deterministic number rendering (shortest round-trip) so the
-    // summary embedded in the report is byte-stable across runs.
-    auto num = [](double v) { return obs::JsonWriter::number(v); };
-    std::string s = "tenants=" + std::to_string(spec.tenants.size()) +
-                    ",arrival=" + num(spec.arrival_rate) +
-                    ",duration=" + num(spec.duration) +
-                    ",seed=" + std::to_string(spec.seed) +
-                    ",blocks=" + std::to_string(spec.blocks) +
-                    ",items=" + std::to_string(spec.items) +
-                    ",reducers=" + std::to_string(spec.reducers) +
-                    ",target=" + num(spec.target_rel_error) +
-                    ",pressure=" + std::to_string(spec.pressure_threshold) +
-                    ",degrade=" + num(spec.degrade_factor) +
-                    ",maxscale=" + num(spec.max_target_scale) +
-                    ",endgame=" + num(spec.endgame_left_percent) +
-                    ",cluster=" + spec.cluster;
-    if (spec.preempt) {
-        s += ",preempt=1";
-    }
-    if (spec.defer) {
-        s += ",defer=1";
-    }
-    if (spec.fault_plan.enabled()) {
-        s += ",faults=" + spec.fault_plan.spec();
+    std::string s = spec::emit(grammar(), Draft{config, {}});
+    if (config.fault_plan.enabled()) {
+        s += ",faults=" + config.fault_plan.spec();
     }
     return s;
 }
@@ -280,29 +212,8 @@ specSummary(const ServiceSpec& spec)
 std::string
 serviceSpecHelp()
 {
-    return "service spec clauses (comma-separated key=value):\n"
-           "  tenants=N          priority classes t0..t(N-1); t0 highest\n"
-           "  arrival=R          aggregate arrival rate, jobs/sim-second\n"
-           "  duration=D         arrival window, sim seconds\n"
-           "  seed=S             root seed (arrivals and per-job seeds)\n"
-           "  blocks=B items=I   per-job dataset shape\n"
-           "  reducers=R         reduce tasks per job\n"
-           "  target=E           per-job target relative error\n"
-           "  pressure=K         queue depth triggering degradation (0=off)\n"
-           "  degrade=F          target widening factor per pressure step\n"
-           "  maxscale=M         cap on total target widening\n"
-           "  endgame=P          endgame speculation left-percent (0=off)\n"
-           "  preempt=0|1        suspend the least important running job\n"
-           "                     when a more important arrival cannot\n"
-           "                     admit (resumed later; no work lost)\n"
-           "  defer=0|1          hold lower-priority admissions while a\n"
-           "                     priority-0 job is active\n"
-           "  slo=A+B+...        per-tenant p99 SLO seconds\n"
-           "  workloads=a+b+...  job-mix workload names\n"
-           "  cluster=SPEC       xeon10 (default), atom60, or a mixed\n"
-           "                     fleet like 10xeon+20atom\n"
-           "  straggler=P:F[:S]  injected-straggler fault clause\n"
-           "  crash=P            per-attempt crash probability\n";
+    return "service spec clauses (comma-separated key=value):\n" +
+           spec::help(grammar(), 21);
 }
 
 }  // namespace approxhadoop::service

@@ -130,36 +130,14 @@ struct ServiceSpec
 };
 
 /**
- * Parses the approxsvc CLI spec string: comma-separated clauses
- *
- *   tenants=N          N priority classes t0..t(N-1); t0 is highest
- *                      priority, weights halve per class (2^(N-1-i))
- *   arrival=R          aggregate arrival rate, jobs per sim second
- *   duration=D         arrival window, sim seconds
- *   seed=S             root seed
- *   blocks=B items=I   per-job dataset shape
- *   reducers=R         reduce tasks per job
- *   target=E           per-job target relative error
- *   pressure=K         queue depth that triggers degradation (0 = off)
- *   degrade=F          target widening factor per pressure step
- *   maxscale=M         cap on the total widening (>= 1)
- *   endgame=P          endgame_left_percent for every job (0 = off)
- *   preempt=0|1        suspend the least important running job when a
- *                      more important arrival cannot admit (resumed
- *                      later; no work lost)
- *   defer=0|1          hold lower-priority admissions while any
- *                      priority-0 job is active
- *   slo=A+B+...        per-tenant p99 SLO seconds ('+'-separated,
- *                      one per tenant, 0 = none)
- *   workloads=a+b+...  job-mix workload names ('+'-separated)
- *   cluster=NAME       xeon10 (default) or atom60
- *   straggler=P:F[:S]  per-attempt injected-straggler fault clause
- *   crash=P            per-attempt crash probability fault clause
- *
- * e.g. "tenants=2,arrival=0.05,duration=600,seed=7,slo=150+0".
- * Malformed input (unknown keys, duplicate keys, bad numbers, trailing
- * garbage) throws std::invalid_argument — loudly, like
- * ft::FaultPlan::parse.
+ * Parses the approxsvc CLI spec string: comma-separated `key=value`
+ * clauses from a table with one row per key (serviceSpecHelp() lists
+ * them; `straggler` and `crash` are the fault-plan rows, `cluster` the
+ * fleet grammar of sim::ClusterConfig::parse), e.g.
+ * "tenants=2,arrival=0.05,duration=600,seed=7,slo=150+0". `slo` takes
+ * one '+'-separated value per tenant. Malformed input (unknown keys,
+ * duplicate keys, bad numbers, trailing garbage) throws
+ * std::invalid_argument — loudly, like ft::FaultPlan::parse.
  */
 ServiceSpec parseServiceSpec(const std::string& spec);
 

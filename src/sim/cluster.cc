@@ -1,33 +1,10 @@
 #include "sim/cluster.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "common/spec.h"
+
 namespace approxhadoop::sim {
-
-namespace {
-
-/** Splits @p s on @p sep (keeps empty fields so "10xeon+" is rejected
- *  loudly downstream). */
-std::vector<std::string>
-split(const std::string& s, char sep)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= s.size()) {
-        size_t end = s.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(s.substr(start));
-            break;
-        }
-        parts.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
-}
-
-}  // namespace
 
 ServerClass
 ServerClass::xeon(uint32_t count)
@@ -110,29 +87,20 @@ ClusterConfig::parse(const std::string& spec)
     }
 
     ClusterConfig config;
-    config.classes.clear();
     uint32_t total = 0;
-    for (const std::string& term : split(spec, '+')) {
-        size_t i = 0;
-        while (i < term.size() &&
-               std::isdigit(static_cast<unsigned char>(term[i]))) {
-            ++i;
+    try {
+        for (const std::string& term : spec::split(spec, '+')) {
+            auto [count, name] = spec::countedTerm(
+                term, spec::Count{"a server count", 1, 100000},
+                "<count><class>, e.g. 10xeon; or the presets xeon10 / "
+                "atom60");
+            config.classes.push_back(
+                ServerClass::byName(name, static_cast<uint32_t>(count)));
+            total += static_cast<uint32_t>(count);
         }
-        if (i == 0 || i == term.size()) {
-            throw std::invalid_argument(
-                "cluster spec: bad term '" + term +
-                "' (want <count><class>, e.g. 10xeon; or the presets "
-                "xeon10 / atom60)");
-        }
-        unsigned long count = std::strtoul(term.substr(0, i).c_str(),
-                                           nullptr, 10);
-        if (count == 0 || count > 100000) {
-            throw std::invalid_argument("cluster spec: server count in '" +
-                                        term + "' must be in [1, 100000]");
-        }
-        config.classes.push_back(ServerClass::byName(
-            term.substr(i), static_cast<uint32_t>(count)));
-        total += static_cast<uint32_t>(count);
+    } catch (const spec::BadValue& e) {
+        throw std::invalid_argument(std::string("cluster spec: ") +
+                                    e.what());
     }
 
     // Mirror the first class into the scalar fields so legacy readers

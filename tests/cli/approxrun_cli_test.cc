@@ -76,6 +76,10 @@ TEST(ApproxrunCliTest, MalformedInvocationsExitTwoWithGrammar)
         {"projectpop --reducers 0", 2, "[1, 1024]", "zero reducers"},
         {"projectpop --reducers 5000", 2, "[1, 1024]", "too many"},
         {"projectpop --threads 0", 2, "[1, 1024]", "zero threads"},
+        // Integers are digits only: strtoull-style leading signs and
+        // whitespace are rejected like any other garbage.
+        {"projectpop --threads +2", 2, "[1, 1024]", "signed thread count"},
+        {"projectpop --blocks ' +40'", 2, ">= 1", "space-signed blocks"},
         {"projectpop --seed -1", 2, "non-negative", "negative seed"},
         {"projectpop --seed 1e9", 2, "non-negative", "float seed"},
         {"projectpop --cluster foo", 2, "xeon10", "unknown cluster"},
@@ -203,6 +207,43 @@ TEST(ApproxrunCliTest, ServerCrashOutsideFleetExitsTwoWithRange)
     EXPECT_EQ(r.exit_code, 2) << r.output;
     EXPECT_NE(r.output.find("valid ids: 0..9"), std::string::npos)
         << r.output;
+}
+
+TEST(ApproxrunCliTest, ResumeFlagsFollowTheFreshRunValueRules)
+{
+    // The flags allowed after --resume are the same table rows as on a
+    // fresh run, so their values are checked the same way: an empty
+    // report path is rejected rather than silently writing no report.
+    const std::string journal =
+        ::testing::TempDir() + "approxrun_cli_resume.axj";
+    RunResult record = runApproxrun(
+        "projectpop --blocks 4 --items 4 --seed 3 --journal " + journal);
+    ASSERT_EQ(record.exit_code, 0) << record.output;
+
+    const std::vector<CliCase> cases = {
+        {"--report-json ''", 2, "a file path", "empty report path"},
+        {"--trace-out ''", 2, "a file path", "empty trace path"},
+        {"--threads +2", 2, "[1, 1024]", "signed thread count"},
+        {"--top", 2, "missing value", "flag without value"},
+        {"--seed 3", 2, "cannot be combined with --resume",
+         "journaled knob"},
+    };
+    for (const CliCase& c : cases) {
+        RunResult r =
+            runApproxrun("--resume " + journal + " " + c.args);
+        EXPECT_EQ(r.exit_code, c.expected_exit)
+            << c.why << " — args: " << c.args << "\n"
+            << r.output;
+        EXPECT_NE(r.output.find(c.required_substring), std::string::npos)
+            << c.why << " — args: " << c.args
+            << "\nexpected substring '" << c.required_substring
+            << "' in:\n"
+            << r.output;
+    }
+    RunResult ok =
+        runApproxrun("--resume " + journal + " --threads 2 --top 1");
+    EXPECT_EQ(ok.exit_code, 0) << ok.output;
+    std::remove(journal.c_str());
 }
 
 TEST(ApproxrunCliTest, FaultPlanHelpMentionsEveryKey)

@@ -74,6 +74,11 @@ TEST(FaultPlanParseTest, RejectsInvalidSpecs)
         {"drain=2", "drain without @T"},
         {"drain=0@10", "zero drain count"},
         {"drain=2@10+5", "drain takes no +D duration"},
+        // Server ids are integers: no truncation, no negative or
+        // out-of-range double->uint32_t casts.
+        {"server=1.9@5", "fractional server id"},
+        {"server=-1@5", "negative server id"},
+        {"server=1e12@5", "server id beyond uint32"},
         // Driver kills: a time, strictly positive and finite.
         {"dcrash=", "dcrash without a time"},
         {"dcrash=abc", "non-numeric dcrash time"},

@@ -17,10 +17,7 @@
  * Exit codes: 0 all invariants held, 1 violation found (reproducers
  * printed, and appended to --repro-out if given), 2 bad usage.
  */
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +26,7 @@
 #include "chaos/scenario.h"
 #include "chaos/shrink.h"
 #include "common/logging.h"
+#include "common/spec.h"
 #include "obs/observability.h"
 #include "obs/report.h"
 
@@ -51,127 +49,62 @@ struct Options
 
 enum ExitCode { kExitClean = 0, kExitViolation = 1, kExitBadUsage = 2 };
 
+using Arg = const std::string&;
+
+int
+readTrials(Arg v)
+{
+    return static_cast<int>(
+        spec::Count{"a non-negative integer", 0, 1000000}.read(v));
+}
+
+const spec::Table<Options>&
+flags()
+{
+    static const spec::Table<Options> kFlags = {
+        {"--seed", "S", "scenario-family seed (default 1)",
+         [](Options& o, Arg v) {
+             o.seed = spec::Count{"a non-negative integer"}.read(v);
+         }},
+        {"--trials", "N", "random scenarios to run (default 200)",
+         [](Options& o, Arg v) { o.trials = readTrials(v); }},
+        {"--coverage-trials", "N",
+         "CI-coverage battery trials (default 40;\n0 disables the battery)",
+         [](Options& o, Arg v) { o.coverage_trials = readTrials(v); }},
+        {"--scenario", "I",
+         "regenerate and check only scenario index I\n"
+         "(bit-identical to its soak appearance)",
+         [](Options& o, Arg v) {
+             o.scenario_index = spec::Count{"a scenario index"}.read(v);
+         }},
+        {"--mutate", "NAME",
+         "deliberately break one invariant and\n"
+         "verify the oracle flags it:\n"
+         "ci-widening | counters | determinism |\nexit-code",
+         [](Options& o, Arg v) { o.mutation = chaos::parseMutation(v); }},
+        spec::toggle("--selftest",
+                     "run every mutation probe (each must be\n"
+                     "caught) plus a clean probe (must pass)",
+                     &Options::selftest),
+        {"--repro-out", "FILE", "append shrunk reproducer commands to FILE",
+         [](Options& o, Arg v) { o.repro_out = spec::path(v); }},
+        spec::toggle("--print", "print every scenario before running it",
+                     &Options::print_scenarios),
+        spec::toggle("--verbose", "framework INFO logging",
+                     &Options::verbose),
+    };
+    return kFlags;
+}
+
 void
 usage()
 {
-    std::printf(
-        "usage: approxchaos [options]\n"
-        "\n"
-        "  --seed S            scenario-family seed (default 1)\n"
-        "  --trials N          random scenarios to run (default 200)\n"
-        "  --coverage-trials N CI-coverage battery trials (default 40;\n"
-        "                      0 disables the battery)\n"
-        "  --scenario I        regenerate and check only scenario index I\n"
-        "                      (bit-identical to its soak appearance)\n"
-        "  --mutate NAME       deliberately break one invariant and\n"
-        "                      verify the oracle flags it:\n"
-        "                      ci-widening | counters | determinism |\n"
-        "                      exit-code\n"
-        "  --selftest          run every mutation probe (each must be\n"
-        "                      caught) plus a clean probe (must pass)\n"
-        "  --repro-out FILE    append shrunk reproducer commands to FILE\n"
-        "  --print             print every scenario before running it\n"
-        "  --verbose           framework INFO logging\n"
-        "\n"
-        "exit codes: 0 clean, 1 invariant violated, 2 bad usage\n");
-}
-
-bool
-parseUint64(const char* text, uint64_t& out)
-{
-    if (text == nullptr || *text == '\0') {
-        return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || *end != '\0' || std::strchr(text, '-') != nullptr) {
-        return false;
-    }
-    out = static_cast<uint64_t>(v);
-    return true;
-}
-
-bool
-parseInt(const char* text, int& out)
-{
-    uint64_t v = 0;
-    if (!parseUint64(text, v) || v > 1000000) {
-        return false;
-    }
-    out = static_cast<int>(v);
-    return true;
-}
-
-bool
-parseArgs(int argc, char** argv, Options& opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            const char* v = value();
-            if (v == nullptr || !parseUint64(v, opt.seed)) {
-                std::fprintf(stderr, "--seed wants a non-negative "
-                                     "integer\n");
-                return false;
-            }
-        } else if (arg == "--trials") {
-            const char* v = value();
-            if (v == nullptr || !parseInt(v, opt.trials)) {
-                std::fprintf(stderr, "--trials wants an integer\n");
-                return false;
-            }
-        } else if (arg == "--coverage-trials") {
-            const char* v = value();
-            if (v == nullptr || !parseInt(v, opt.coverage_trials)) {
-                std::fprintf(stderr,
-                             "--coverage-trials wants an integer\n");
-                return false;
-            }
-        } else if (arg == "--scenario") {
-            const char* v = value();
-            uint64_t index = 0;
-            if (v == nullptr || !parseUint64(v, index)) {
-                std::fprintf(stderr, "--scenario wants an index\n");
-                return false;
-            }
-            opt.scenario_index = index;
-        } else if (arg == "--mutate") {
-            const char* v = value();
-            if (v == nullptr) {
-                return false;
-            }
-            try {
-                opt.mutation = chaos::parseMutation(v);
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "--mutate: %s\n", e.what());
-                return false;
-            }
-        } else if (arg == "--selftest") {
-            opt.selftest = true;
-        } else if (arg == "--repro-out") {
-            const char* v = value();
-            if (v == nullptr) {
-                return false;
-            }
-            opt.repro_out = v;
-        } else if (arg == "--print") {
-            opt.print_scenarios = true;
-        } else if (arg == "--verbose") {
-            opt.verbose = true;
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return false;
-        }
-    }
-    return true;
+    std::printf("usage: approxchaos [options]\n"
+                "\n"
+                "%s"
+                "\n"
+                "exit codes: 0 clean, 1 invariant violated, 2 bad usage\n",
+                spec::help(flags(), 22).c_str());
 }
 
 /** Shrinks a violating scenario and prints/records the reproducer. */
@@ -395,7 +328,7 @@ int
 main(int argc, char** argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt)) {
+    if (!spec::parseFlags(argc, argv, 1, flags(), opt)) {
         usage();
         return kExitBadUsage;
     }

@@ -18,9 +18,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "apps/dc_placement_app.h"
 #include "apps/frame_encoder_app.h"
 #include "common/logging.h"
+#include "common/spec.h"
 #include "core/approx_config.h"
 #include "core/approx_job.h"
 #include "ft/fault_plan.h"
@@ -60,14 +62,11 @@ struct Options
     int top = 10;
     ft::FaultPlan fault_plan;
     ft::FailureMode failure_mode = ft::FailureMode::kRetry;
-    double heartbeat_interval_ms = -1.0;  // <0: keep JobConfig default
-    bool heartbeat_set = false;
-    double task_timeout_ms = -1.0;
-    bool timeout_set = false;
-    uint32_t max_attempts = 0;
-    bool max_attempts_set = false;
-    uint64_t checkpoint_interval = 0;
-    bool checkpoint_set = false;
+    // Unset: keep the JobConfig default.
+    std::optional<double> heartbeat_interval_ms;
+    std::optional<double> task_timeout_ms;
+    std::optional<uint32_t> max_attempts;
+    std::optional<uint64_t> checkpoint_interval;
     bool selfcheck = false;
     std::string report_json;  // --report-json FILE ("" = off)
     std::string trace_out;    // --trace-out FILE ("" = off)
@@ -93,9 +92,167 @@ enum ExitCode {
     kExitSelfcheckFailed = 4 // reported CI does not cover the exact answer
 };
 
+using spec::Count;
+using spec::Real;
+using Arg = const std::string&;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const Real kRatio{"a ratio", 0.0, 1.0, true};
+const Count kNonNegative{"a non-negative integer"};
+const Count kPositive{"an integer", 1};
+const Count kThreadsOrReducers{"an integer", 1, 1024};
+const Count kTopRows{"a non-negative integer", 0, 1000000};
+
+/** @p row, also accepted after `--resume FILE`. */
+spec::Row<Options>
+resumable(spec::Row<Options> row)
+{
+    row.resume = true;
+    return row;
+}
+
+/**
+ * The flag table: one row per option, read by the parser, usage() and
+ * `--resume` (rows marked `resume` may also follow `--resume FILE`).
+ * Values are strict: the whole token must be a finite number in range,
+ * or the flag is rejected (exit 2) — atof-style garbage-to-zero would
+ * turn a typo like `--sampling 0..1` into a different experiment.
+ */
+const spec::Table<Options>&
+flags()
+{
+    static const spec::Table<Options> kFlags = {
+        spec::toggle("--precise", "run without any approximation",
+                     &Options::precise),
+        {"--sampling", "R", "input data sampling ratio in (0,1]",
+         [](Options& o, Arg v) { o.approx.sampling_ratio = kRatio.read(v); }},
+        {"--drop", "R", "map dropping ratio in [0,1)",
+         [](Options& o, Arg v) {
+             o.approx.drop_ratio = Real{"a ratio", 0, 1, false, true}.read(v);
+         }},
+        {"--target", "X", "target relative error > 0 (e.g. 0.01)",
+         [](Options& o, Arg v) {
+             o.approx.target_relative_error =
+                 Real{"a relative error", 0, kInf, true}.read(v);
+         }},
+        {"--confidence", "C", "confidence level in (0,1) (default 0.95)",
+         [](Options& o, Arg v) {
+             o.approx.confidence =
+                 Real{"a confidence level", 0, 1, true, true}.read(v);
+         }},
+        {"--pilot", "N:R", "pilot wave of N maps at ratio R",
+         [](Options& o, Arg v) {
+             std::vector<std::string> parts = spec::split(v, ':');
+             if (parts.size() != 2) {
+                 throw spec::BadValue("N:R (pilot maps : sampling ratio)", v);
+             }
+             o.approx.pilot.maps =
+                 Count{"N:R with N an integer", 1}.read(parts[0]);
+             o.approx.pilot.sampling_ratio =
+                 Real{"N:R with R a ratio", 0, 1, true}.read(parts[1]);
+             o.approx.pilot.enabled = true;
+         }},
+        {"--user-defined", "F",
+         "fraction of approximate map variants,\nin [0,1]",
+         [](Options& o, Arg v) {
+             o.approx.user_defined_fraction = Real{"a fraction", 0, 1}.read(v);
+         }},
+        {"--blocks", "N", "input blocks (= map tasks), N >= 1",
+         [](Options& o, Arg v) { o.blocks = kPositive.read(v); }},
+        {"--items", "N", "items per block, N >= 1",
+         [](Options& o, Arg v) { o.items = kPositive.read(v); }},
+        {"--reducers", "N", "reduce tasks in [1, 1024] (default 1)",
+         [](Options& o, Arg v) {
+             o.reducers = static_cast<uint32_t>(kThreadsOrReducers.read(v));
+         }},
+        resumable({"--threads", "N",
+                   "host threads for real map work (default 1;\n"
+                   "results are identical at any setting)",
+                   [](Options& o, Arg v) {
+                       o.threads =
+                           static_cast<uint32_t>(kThreadsOrReducers.read(v));
+                   }}),
+        {"--cluster", "SPEC",
+         "xeon10 (default), atom60, or a mixed\n"
+         "fleet in the cluster grammar, e.g.\n10xeon+20atom",
+         [](Options& o, Arg v) {
+             (void)sim::ClusterConfig::parse(v);
+             o.cluster = v;
+         }},
+        {"--seed", "S", "experiment seed (non-negative integer)",
+         [](Options& o, Arg v) { o.seed = kNonNegative.read(v); }},
+        {"--fault-plan", "SPEC", "inject failures (SPEC grammar below)",
+         [](Options& o, Arg v) { o.fault_plan = ft::FaultPlan::parse(v); }},
+        {"--failure-mode", "M", "retry | absorb | auto (default retry)",
+         [](Options& o, Arg v) { o.failure_mode = ft::parseFailureMode(v); }},
+        {"--max-attempts", "N",
+         "map attempts before the job aborts,\nin [1, 1000000] (default 4)",
+         [](Options& o, Arg v) {
+             o.max_attempts = static_cast<uint32_t>(
+                 Count{"an integer", 1, 1000000}.read(v));
+         }},
+        {"--checkpoint-interval", "N",
+         "reducer checkpoint every N chunks\n(0 disables; default 8)",
+         [](Options& o, Arg v) {
+             o.checkpoint_interval = kNonNegative.read(v);
+         }},
+        {"--heartbeat-interval", "MS",
+         "task heartbeat period, simulated ms\n(> 0; default 1000)",
+         [](Options& o, Arg v) {
+             o.heartbeat_interval_ms =
+                 Real{"a period in ms", 0, kInf, true}.read(v);
+         }},
+        {"--task-timeout", "MS",
+         "declare a silent task dead after MS\n"
+         "since its last heartbeat (default 10000;\n"
+         "<= 0: instantaneous detection)",
+         [](Options& o, Arg v) {
+             o.task_timeout_ms = Real{"a timeout in ms"}.read(v);
+         }},
+        spec::toggle("--selfcheck",
+                     "also run a fault-free precise reference\n"
+                     "and fail (exit 4) unless the headline\n"
+                     "key's CI covers the exact answer",
+                     &Options::selfcheck),
+        resumable({"--report-json", "FILE",
+                   "write a machine-readable job report\n"
+                   "(JSON; schema approxhadoop-job-report/1)",
+                   [](Options& o, Arg v) { o.report_json = spec::path(v); }}),
+        resumable({"--trace-out", "FILE",
+                   "write a Chrome trace-event timeline\n"
+                   "(load in chrome://tracing or Perfetto)",
+                   [](Options& o, Arg v) { o.trace_out = spec::path(v); }}),
+        {"--journal", "FILE",
+         "record a crash-consistent run journal\n"
+         "(aggregation apps only); required for\n"
+         "dcrash= fault plans, whose driver kills\n"
+         "restart and resume in-process",
+         [](Options& o, Arg v) { o.journal = spec::path(v); }},
+        {"--journal-interval", "N",
+         "also seal a journal epoch every N map\n"
+         "completions (0 = wave boundaries only)",
+         [](Options& o, Arg v) { o.journal_interval = kNonNegative.read(v); }},
+        spec::toggle("--s3", "suspend drained servers (energy mode)",
+                     &Options::s3),
+        resumable({"--top", "K", "result rows to print (default 10)",
+                   [](Options& o, Arg v) {
+                       o.top = static_cast<int>(kTopRows.read(v));
+                   }}),
+        resumable(spec::toggle("--verbose", "framework INFO logging",
+                               &Options::verbose)),
+    };
+    return kFlags;
+}
+
 void
 usage()
 {
+    std::string resume_flags;
+    for (const spec::Row<Options>& row : flags()) {
+        if (row.resume) {
+            resume_flags += std::string(" ") + row.name;
+        }
+    }
     std::printf(
         "usage: approxrun <app> [options]\n"
         "\n"
@@ -107,130 +264,26 @@ usage()
         "  video                          (user-defined approximation)\n"
         "\n"
         "options:\n"
-        "  --precise             run without any approximation\n"
-        "  --sampling R          input data sampling ratio in (0,1]\n"
-        "  --drop R              map dropping ratio in [0,1)\n"
-        "  --target X            target relative error > 0 (e.g. 0.01)\n"
-        "  --confidence C        confidence level in (0,1) "
-        "(default 0.95)\n"
-        "  --pilot N:R           pilot wave of N maps at ratio R\n"
-        "  --user-defined F      fraction of approximate map variants,\n"
-        "                        in [0,1]\n"
-        "  --blocks N            input blocks (= map tasks), N >= 1\n"
-        "  --items N             items per block, N >= 1\n"
-        "  --reducers N          reduce tasks in [1, 1024] (default 1)\n"
-        "  --threads N           host threads for real map work "
-        "(default 1;\n"
-        "                        results are identical at any setting)\n"
-        "  --cluster SPEC        xeon10 (default), atom60, or a mixed\n"
-        "                        fleet in the cluster grammar, e.g.\n"
-        "                        10xeon+20atom\n"
-        "  --seed S              experiment seed (non-negative integer)\n"
-        "  --fault-plan SPEC     inject failures; SPEC grammar:\n"
         "%s"
-        "  --failure-mode M      retry | absorb | auto (default retry)\n"
-        "  --max-attempts N      map attempts before the job aborts,\n"
-        "                        in [1, 1000000] (default 4)\n"
-        "  --checkpoint-interval N  reducer checkpoint every N chunks\n"
-        "                        (0 disables; default 8)\n"
-        "  --heartbeat-interval MS  task heartbeat period, simulated ms\n"
-        "                        (> 0; default 1000)\n"
-        "  --task-timeout MS     declare a silent task dead after MS\n"
-        "                        since its last heartbeat (default 10000;\n"
-        "                        <= 0: instantaneous detection)\n"
-        "  --selfcheck           also run a fault-free precise reference\n"
-        "                        and fail (exit 4) unless the headline\n"
-        "                        key's CI covers the exact answer\n"
-        "  --report-json FILE    write a machine-readable job report\n"
-        "                        (JSON; schema approxhadoop-job-report/1)\n"
-        "  --trace-out FILE      write a Chrome trace-event timeline\n"
-        "                        (load in chrome://tracing or Perfetto)\n"
-        "  --journal FILE        record a crash-consistent run journal\n"
-        "                        (aggregation apps only); required for\n"
-        "                        dcrash= fault plans, whose driver kills\n"
-        "                        restart and resume in-process\n"
-        "  --journal-interval N  also seal a journal epoch every N map\n"
-        "                        completions (0 = wave boundaries only)\n"
-        "  --s3                  suspend drained servers (energy mode)\n"
-        "  --top K               result rows to print (default 10)\n"
-        "  --verbose             framework INFO logging\n"
         "\n"
         "  --list-workloads      print the aggregation-workload\n"
         "                        registry (name, op, default shape)\n"
         "                        and exit 0\n"
         "\n"
-        "  approxrun --resume FILE [--threads N] [--top K] [--verbose]\n"
-        "                        [--report-json F] [--trace-out F]\n"
+        "  approxrun --resume FILE [options]\n"
         "                        resume a journaled run after a driver\n"
         "                        crash; every job-configuration knob is\n"
-        "                        read back from FILE and may not be\n"
-        "                        overridden\n"
+        "                        read back from FILE, so the only options\n"
+        "                        are%s\n"
+        "\n"
+        "--fault-plan SPEC grammar, %s\n"
         "\n"
         "exit codes: 0 ok, 2 bad usage (including an unreadable,\n"
         "corrupt, or divergent journal), 3 job failed (retries\n"
         "exhausted), 4 selfcheck CI coverage failure\n",
         apps::aggregationWorkloadNames().c_str(),
+        spec::help(flags(), 24).c_str(), resume_flags.c_str(),
         ft::FaultPlan::helpText().c_str());
-}
-
-/**
- * Strict numeric parsers: the whole token must be a finite number in
- * range, or the flag is rejected (exit 2). atof/atoi-style silent
- * garbage-to-zero would turn a typo like `--sampling 0..1` into a
- * drastically different experiment.
- */
-bool
-parseDouble(const char* text, double& out)
-{
-    if (text == nullptr || *text == '\0') {
-        return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v)) {
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseUint64(const char* text, uint64_t& out)
-{
-    if (text == nullptr || *text == '\0' ||
-        std::strchr(text, '-') != nullptr) {
-        return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0') {
-        return false;
-    }
-    out = static_cast<uint64_t>(v);
-    return true;
-}
-
-bool
-parseUint32(const char* text, uint32_t lo, uint32_t hi, uint32_t& out)
-{
-    uint64_t v = 0;
-    if (!parseUint64(text, v) || v < lo || v > hi) {
-        return false;
-    }
-    out = static_cast<uint32_t>(v);
-    return true;
-}
-
-/** Reports a malformed flag value with the expected grammar; always
- *  returns false so parse sites can `return badValue(...)`. */
-bool
-badValue(const std::string& flag, const char* grammar, const char* got)
-{
-    std::fprintf(stderr, "%s wants %s, got '%s'\n", flag.c_str(), grammar,
-                 got == nullptr ? "" : got);
-    return false;
 }
 
 /** `approxrun --list-workloads`: dump the aggregation registry —
@@ -263,191 +316,6 @@ listWorkloads()
                     static_cast<unsigned long long>(w.default_items));
     }
     return 0;
-}
-
-bool
-parseArgs(int argc, char** argv, Options& opt)
-{
-    if (argc < 2) {
-        return false;
-    }
-    opt.app = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--precise") {
-            opt.precise = true;
-        } else if (arg == "--sampling") {
-            const char* v = value();
-            if (!parseDouble(v, opt.approx.sampling_ratio) ||
-                opt.approx.sampling_ratio <= 0.0 ||
-                opt.approx.sampling_ratio > 1.0) {
-                return badValue(arg, "a ratio in (0, 1]", v);
-            }
-        } else if (arg == "--drop") {
-            const char* v = value();
-            if (!parseDouble(v, opt.approx.drop_ratio) ||
-                opt.approx.drop_ratio < 0.0 ||
-                opt.approx.drop_ratio >= 1.0) {
-                return badValue(arg, "a ratio in [0, 1)", v);
-            }
-        } else if (arg == "--target") {
-            const char* v = value();
-            double target = 0.0;
-            if (!parseDouble(v, target) || target <= 0.0) {
-                return badValue(arg, "a relative error > 0", v);
-            }
-            opt.approx.target_relative_error = target;
-        } else if (arg == "--confidence") {
-            const char* v = value();
-            if (!parseDouble(v, opt.approx.confidence) ||
-                opt.approx.confidence <= 0.0 ||
-                opt.approx.confidence >= 1.0) {
-                return badValue(arg, "a confidence level in (0, 1)", v);
-            }
-        } else if (arg == "--pilot") {
-            const char* v = value();
-            const char* colon = std::strchr(v, ':');
-            if (colon == nullptr) {
-                return badValue(arg, "N:R (pilot maps : sampling ratio)",
-                                v);
-            }
-            std::string maps(v, colon - v);
-            if (!parseUint64(maps.c_str(), opt.approx.pilot.maps) ||
-                opt.approx.pilot.maps == 0 ||
-                !parseDouble(colon + 1,
-                             opt.approx.pilot.sampling_ratio) ||
-                opt.approx.pilot.sampling_ratio <= 0.0 ||
-                opt.approx.pilot.sampling_ratio > 1.0) {
-                return badValue(arg,
-                                "N:R with N >= 1 maps and R in (0, 1]", v);
-            }
-            opt.approx.pilot.enabled = true;
-        } else if (arg == "--user-defined") {
-            const char* v = value();
-            if (!parseDouble(v, opt.approx.user_defined_fraction) ||
-                opt.approx.user_defined_fraction < 0.0 ||
-                opt.approx.user_defined_fraction > 1.0) {
-                return badValue(arg, "a fraction in [0, 1]", v);
-            }
-        } else if (arg == "--blocks") {
-            const char* v = value();
-            if (!parseUint64(v, opt.blocks) || opt.blocks == 0) {
-                return badValue(arg, "an integer >= 1", v);
-            }
-        } else if (arg == "--items") {
-            const char* v = value();
-            if (!parseUint64(v, opt.items) || opt.items == 0) {
-                return badValue(arg, "an integer >= 1", v);
-            }
-        } else if (arg == "--reducers") {
-            const char* v = value();
-            if (!parseUint32(v, 1, 1024, opt.reducers)) {
-                return badValue(arg, "an integer in [1, 1024]", v);
-            }
-        } else if (arg == "--threads") {
-            const char* v = value();
-            if (!parseUint32(v, 1, 1024, opt.threads)) {
-                return badValue(arg, "an integer in [1, 1024]", v);
-            }
-        } else if (arg == "--cluster") {
-            opt.cluster = value();
-            try {
-                (void)sim::ClusterConfig::parse(opt.cluster);
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "--cluster: %s\n", e.what());
-                return false;
-            }
-        } else if (arg == "--seed") {
-            const char* v = value();
-            if (!parseUint64(v, opt.seed)) {
-                return badValue(arg, "a non-negative integer", v);
-            }
-        } else if (arg == "--fault-plan") {
-            try {
-                opt.fault_plan = ft::FaultPlan::parse(value());
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "--fault-plan: %s\n%s", e.what(),
-                             ft::FaultPlan::helpText().c_str());
-                return false;
-            }
-        } else if (arg == "--failure-mode") {
-            try {
-                opt.failure_mode = ft::parseFailureMode(value());
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "--failure-mode: %s\n", e.what());
-                return false;
-            }
-        } else if (arg == "--max-attempts") {
-            const char* v = value();
-            if (!parseUint32(v, 1, 1000000, opt.max_attempts)) {
-                return badValue(arg, "an integer in [1, 1000000]", v);
-            }
-            opt.max_attempts_set = true;
-        } else if (arg == "--checkpoint-interval") {
-            const char* v = value();
-            if (!parseUint64(v, opt.checkpoint_interval)) {
-                return badValue(arg, "a non-negative integer", v);
-            }
-            opt.checkpoint_set = true;
-        } else if (arg == "--heartbeat-interval") {
-            const char* v = value();
-            if (!parseDouble(v, opt.heartbeat_interval_ms) ||
-                opt.heartbeat_interval_ms <= 0.0) {
-                return badValue(arg, "a period in ms > 0", v);
-            }
-            opt.heartbeat_set = true;
-        } else if (arg == "--task-timeout") {
-            const char* v = value();
-            if (!parseDouble(v, opt.task_timeout_ms)) {
-                return badValue(arg, "a timeout in ms", v);
-            }
-            opt.timeout_set = true;
-        } else if (arg == "--report-json") {
-            opt.report_json = value();
-            if (opt.report_json.empty()) {
-                return badValue(arg, "a file path", "");
-            }
-        } else if (arg == "--trace-out") {
-            opt.trace_out = value();
-            if (opt.trace_out.empty()) {
-                return badValue(arg, "a file path", "");
-            }
-        } else if (arg == "--journal") {
-            opt.journal = value();
-            if (opt.journal.empty()) {
-                return badValue(arg, "a file path", "");
-            }
-        } else if (arg == "--journal-interval") {
-            const char* v = value();
-            if (!parseUint64(v, opt.journal_interval)) {
-                return badValue(arg, "a non-negative integer", v);
-            }
-        } else if (arg == "--selfcheck") {
-            opt.selfcheck = true;
-        } else if (arg == "--s3") {
-            opt.s3 = true;
-        } else if (arg == "--top") {
-            const char* v = value();
-            uint32_t top = 0;
-            if (!parseUint32(v, 0, 1000000, top)) {
-                return badValue(arg, "a non-negative integer", v);
-            }
-            opt.top = static_cast<int>(top);
-        } else if (arg == "--verbose") {
-            opt.verbose = true;
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return false;
-        }
-    }
-    return true;
 }
 
 void
@@ -487,24 +355,14 @@ applyCommonConfig(const Options& opt, mr::JobConfig& config)
     config.num_exec_threads = opt.threads;
     config.fault_plan = opt.fault_plan;
     config.failure_mode = opt.failure_mode;
-    if (opt.heartbeat_set) {
-        config.heartbeat_interval_ms = opt.heartbeat_interval_ms;
-    }
-    if (opt.timeout_set) {
-        config.task_timeout_ms = opt.task_timeout_ms;
-    }
-    if (opt.max_attempts_set) {
-        config.recovery.max_attempts = opt.max_attempts;
-    }
-    if (opt.checkpoint_set) {
-        config.reducer_checkpoint_interval = opt.checkpoint_interval;
-    }
-}
-
-sim::ClusterConfig
-clusterConfigFor(const Options& opt)
-{
-    return sim::ClusterConfig::parse(opt.cluster);
+    config.heartbeat_interval_ms =
+        opt.heartbeat_interval_ms.value_or(config.heartbeat_interval_ms);
+    config.task_timeout_ms =
+        opt.task_timeout_ms.value_or(config.task_timeout_ms);
+    config.recovery.max_attempts =
+        opt.max_attempts.value_or(config.recovery.max_attempts);
+    config.reducer_checkpoint_interval = opt.checkpoint_interval.value_or(
+        config.reducer_checkpoint_interval);
 }
 
 /**
@@ -574,13 +432,9 @@ optionsFromSpec(const journal::RunSpec& spec)
     opt.s3 = spec.s3;
     opt.failure_mode = ft::parseFailureMode(spec.failure_mode);
     opt.max_attempts = spec.max_attempts;
-    opt.max_attempts_set = true;
     opt.checkpoint_interval = spec.checkpoint_interval;
-    opt.checkpoint_set = true;
     opt.heartbeat_interval_ms = spec.heartbeat_ms;
-    opt.heartbeat_set = true;
     opt.task_timeout_ms = spec.timeout_ms;
-    opt.timeout_set = true;
     if (!spec.fault_plan.empty()) {
         opt.fault_plan = ft::FaultPlan::parse(spec.fault_plan);
     }
@@ -702,7 +556,7 @@ runAggregationWorkload(const Options& opt,
             config.driver_crash_skip = jj->resumeCount();
             config.journal_map_interval = jj->spec().map_interval;
         }
-        sim::Cluster cluster(clusterConfigFor(opt));
+        sim::Cluster cluster(sim::ClusterConfig::parse(opt.cluster));
         hdfs::NameNode nn(cluster.numServers(), 3, opt.seed);
         core::ApproxJobRunner runner(cluster, *data, nn);
         runner.setObservability(g_obs.get());
@@ -738,7 +592,8 @@ runAggregationWorkload(const Options& opt,
         }
         if (opt.selfcheck && !opt.precise) {
             mr::JobResult precise = apps::runPreciseReference(
-                workload, *data, config, clusterConfigFor(opt), opt.seed);
+                workload, *data, config,
+                sim::ClusterConfig::parse(opt.cluster), opt.seed);
             return selfcheckAgainst(result, precise);
         }
         return kExitOk;
@@ -776,7 +631,7 @@ runApp(const Options& opt)
         uint64_t seeds_per_map = opt.items ? opt.items : 2;
         auto seeds =
             workloads::makeDCPlacementSeeds(maps, seeds_per_map, opt.seed);
-        sim::ClusterConfig cc = clusterConfigFor(opt);
+        sim::ClusterConfig cc = sim::ClusterConfig::parse(opt.cluster);
         cc.map_slots_per_server = 4;
         sim::Cluster cluster(cc);
         hdfs::NameNode nn(cluster.numServers(), 3, opt.seed);
@@ -807,7 +662,7 @@ runApp(const Options& opt)
         uint64_t frames = opt.items ? opt.items : 120;
         auto data = apps::FrameEncoderApp::makeFrames(blocks, frames,
                                                       opt.seed);
-        sim::Cluster cluster(clusterConfigFor(opt));
+        sim::Cluster cluster(sim::ClusterConfig::parse(opt.cluster));
         hdfs::NameNode nn(cluster.numServers(), 3, opt.seed);
         core::ApproxJobRunner runner(cluster, *data, nn);
         runner.setObservability(g_obs.get());
@@ -878,20 +733,19 @@ runWithOptions(const Options& opt)
 }
 
 /**
- * `approxrun --resume FILE [...]`: reconstruct the full configuration
- * from the journal header, then run it through the normal dispatch. Only
- * presentation knobs (and --threads, which never changes results) may be
- * given — everything that shapes the job is journaled and authoritative.
+ * `approxrun --resume FILE [...]`: reconstructs the full configuration
+ * from the journal header. Only the flags marked `resume` (presentation
+ * knobs, and --threads, which never changes results) may follow —
+ * everything that shapes the job is journaled and authoritative.
  */
 int
-resumeMain(int argc, char** argv)
+loadResume(int argc, char** argv, Options& opt)
 {
     if (argc < 3) {
         std::fprintf(stderr, "missing value for --resume\n");
         usage();
         return kExitBadUsage;
     }
-    Options opt;
     try {
         journal::LoadedJournal loaded =
             journal::parseJournal(journal::readJournalFile(argv[2]));
@@ -905,44 +759,7 @@ resumeMain(int argc, char** argv)
         return kExitBadUsage;
     }
     opt.resume = argv[2];
-    for (int i = 3; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                std::exit(kExitBadUsage);
-            }
-            return argv[++i];
-        };
-        if (arg == "--threads") {
-            const char* v = value();
-            if (!parseUint32(v, 1, 1024, opt.threads)) {
-                badValue(arg, "an integer in [1, 1024]", v);
-                return kExitBadUsage;
-            }
-        } else if (arg == "--top") {
-            const char* v = value();
-            uint32_t top = 0;
-            if (!parseUint32(v, 0, 1000000, top)) {
-                badValue(arg, "a non-negative integer", v);
-                return kExitBadUsage;
-            }
-            opt.top = static_cast<int>(top);
-        } else if (arg == "--report-json") {
-            opt.report_json = value();
-        } else if (arg == "--trace-out") {
-            opt.trace_out = value();
-        } else if (arg == "--verbose") {
-            opt.verbose = true;
-        } else {
-            std::fprintf(stderr,
-                         "%s cannot be combined with --resume: the job "
-                         "configuration is read back from the journal\n",
-                         arg.c_str());
-            return kExitBadUsage;
-        }
-    }
-    return runWithOptions(opt);
+    return kExitOk;
 }
 
 }  // namespace
@@ -953,13 +770,22 @@ main(int argc, char** argv)
     if (argc >= 2 && std::string(argv[1]) == "--list-workloads") {
         return listWorkloads();
     }
-    if (argc >= 2 && std::string(argv[1]) == "--resume") {
-        return resumeMain(argc, argv);
-    }
     Options opt;
-    if (!parseArgs(argc, argv, opt)) {
+    bool resume = argc >= 2 && std::string(argv[1]) == "--resume";
+    if (resume) {
+        if (int rc = loadResume(argc, argv, opt); rc != kExitOk) {
+            return rc;
+        }
+    } else if (argc >= 2) {
+        opt.app = argv[1];
+    }
+    if (argc < 2 ||
+        !spec::parseFlags(argc, argv, resume ? 3 : 2, flags(), opt, resume)) {
         usage();
         return kExitBadUsage;
+    }
+    if (resume) {
+        return runWithOptions(opt);
     }
     if (opt.fault_plan.hasDriverCrash() && opt.journal.empty()) {
         std::fprintf(stderr,

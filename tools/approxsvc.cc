@@ -15,6 +15,7 @@
 #include <exception>
 #include <string>
 
+#include "common/spec.h"
 #include "service/job_service.h"
 #include "service/report.h"
 #include "service/service_spec.h"
@@ -22,6 +23,33 @@
 using namespace approxhadoop;
 
 namespace {
+
+struct Options
+{
+    std::string spec_text;
+    std::string report_path;
+    bool quiet = false;
+    bool help = false;
+};
+
+const spec::Table<Options>&
+flags()
+{
+    static const spec::Table<Options> kFlags = {
+        {"", "spec", nullptr,
+         [](Options& o, const std::string& v) { o.spec_text = v; }},
+        {"--report-json", "FILE",
+         "write the service report (approxhadoop-service-report/1)",
+         [](Options& o, const std::string& v) {
+             o.report_path = spec::path(v);
+         }},
+        spec::toggle("--quiet", "suppress the per-tenant table",
+                     &Options::quiet),
+        spec::toggle("--help", "print this help", &Options::help),
+        spec::toggle("-h", nullptr, &Options::help),
+    };
+    return kFlags;
+}
 
 void
 usage()
@@ -34,13 +62,10 @@ usage()
         "weighted fair-share slot arbitration, end-game speculation,\n"
         "and accuracy-for-latency degradation under queue pressure\n"
         "\n%s"
-        "\n"
-        "  --report-json FILE  write the service report "
-        "(approxhadoop-service-report/1)\n"
-        "  --quiet             suppress the per-tenant table\n"
+        "\n%s"
         "\n"
         "exit codes: 0 ok, 1 simulation error, 2 bad usage/spec\n",
-        service::serviceSpecHelp().c_str());
+        service::serviceSpecHelp().c_str(), spec::help(flags(), 22).c_str());
 }
 
 bool
@@ -94,43 +119,23 @@ printTable(const service::ServiceReport& report)
 int
 main(int argc, char** argv)
 {
-    if (argc < 2) {
+    Options opt;
+    if (!spec::parseFlags(argc, argv, 1, flags(), opt)) {
         usage();
         return 2;
     }
-    std::string spec_text;
-    std::string report_path;
-    bool quiet = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--report-json" && i + 1 < argc) {
-            report_path = argv[++i];
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "approxsvc: unknown flag '%s'\n",
-                         arg.c_str());
-            usage();
-            return 2;
-        } else if (spec_text.empty()) {
-            spec_text = arg;
-        } else {
-            std::fprintf(stderr, "approxsvc: more than one spec given\n");
-            usage();
-            return 2;
-        }
+    if (opt.help) {
+        usage();
+        return 0;
     }
-    if (spec_text.empty()) {
+    if (opt.spec_text.empty()) {
         usage();
         return 2;
     }
 
     service::ServiceSpec spec;
     try {
-        spec = service::parseServiceSpec(spec_text);
+        spec = service::parseServiceSpec(opt.spec_text);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "approxsvc: %s\n", e.what());
         return 2;
@@ -139,11 +144,11 @@ main(int argc, char** argv)
     try {
         service::JobService svc(spec);
         service::ServiceReport report = svc.run();
-        if (!quiet) {
+        if (!opt.quiet) {
             printTable(report);
         }
-        if (!report_path.empty() &&
-            !writeFile(report_path, report.toJson() + "\n")) {
+        if (!opt.report_path.empty() &&
+            !writeFile(opt.report_path, report.toJson() + "\n")) {
             return 1;
         }
         return 0;
