@@ -1,10 +1,60 @@
 #include "common/random.h"
 
-#include <algorithm>
 #include <cassert>
-#include <unordered_set>
+#include <charconv>
+#include <iterator>
+#include <ostream>
+#include <random>
 
 namespace approxhadoop {
+
+void
+Mt19937_64::materialize()
+{
+    seedThrough(kStateWords - 1);
+    if (p_ == 0) {
+        p_ = kStateWords;  // nothing drawn: the untwisted seed state
+    } else {
+        twistFrom(p_);
+    }
+    lazy_ = false;
+}
+
+void
+Mt19937_64::twistFrom(size_t from)
+{
+    // The std::mersenne_twister_engine recurrence, in its order: words
+    // below kShift read the old word kShift ahead, the rest read the
+    // already-twisted word kShift behind, and the last wraps to word 0.
+    size_t k = from;
+    for (; k < kShift; ++k) {
+        x_[k] = twistWord(x_[k], x_[k + 1], x_[k + kShift]);
+    }
+    for (; k < kStateWords - 1; ++k) {
+        x_[k] = twistWord(x_[k], x_[k + 1], x_[k - kShift]);
+    }
+    x_[k] = twistWord(x_[k], x_[0], x_[k - kShift]);
+}
+
+std::ostream&
+operator<<(std::ostream& os, const Mt19937_64& e)
+{
+    Mt19937_64 full = e;
+    if (full.lazy_) {
+        full.materialize();
+    }
+    // std::mt19937_64's text: every word in decimal followed by a space,
+    // then the index. Formatted here rather than word by word through the
+    // stream, so a journal epoch's rng digest costs one write.
+    char text[Mt19937_64::kStateWords * 21 + 20];
+    char* out = text;
+    for (uint64_t word : full.x_) {
+        out = std::to_chars(out, std::end(text), word).ptr;
+        *out++ = ' ';
+    }
+    out = std::to_chars(out, std::end(text), full.p_).ptr;
+    return os.write(text, out - text);
+}
 
 uint64_t
 splitmix64(uint64_t x)
@@ -78,15 +128,15 @@ Rng::sampleWithoutReplacement(uint64_t n, uint64_t k)
 {
     assert(k <= n);
     // Floyd's algorithm: k iterations, each adding exactly one new element.
-    std::unordered_set<uint64_t> chosen;
+    std::vector<bool> chosen(n);
     std::vector<uint64_t> result;
     result.reserve(k);
     for (uint64_t j = n - k; j < n; ++j) {
         uint64_t t = uniformInt(j + 1);
-        if (chosen.count(t)) {
+        if (chosen[t]) {
             t = j;
         }
-        chosen.insert(t);
+        chosen[t] = true;
         result.push_back(t);
     }
     return result;

@@ -1,17 +1,135 @@
 #ifndef APPROXHADOOP_COMMON_RANDOM_H_
 #define APPROXHADOOP_COMMON_RANDOM_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <iosfwd>
 #include <vector>
 
 namespace approxhadoop {
 
 /**
+ * The 64-bit Mersenne Twister, draw-for-draw identical to
+ * std::mt19937_64, with lazy seeding.
+ *
+ * A std::mt19937_64 runs the 312-word seeding recurrence and then twists
+ * all 312 words before its first output, although output p < 156 of that
+ * first twist reads only state words p, p + 1 and p + 156. This engine
+ * runs the seeding recurrence only as far as the next draw needs and
+ * twists one word per draw, so a generator that is seeded and then drawn
+ * a handful of times (the per-record streams of every workload) costs
+ * about 160 recurrence steps instead of 624. The full state is
+ * materialized on draw 157, after which the engine is the textbook one.
+ *
+ * operator<< prints the same text as std::mt19937_64's (a freshly seeded
+ * engine prints its untwisted state and index 312), so a digest of that
+ * text is independent of how far the lazy state has been computed. It is
+ * a UniformRandomBitGenerator, so every std distribution draws exactly
+ * what it draws from std::mt19937_64.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = uint64_t;
+
+    explicit Mt19937_64(uint64_t seed) { x_[0] = seed; }
+
+    // Copies only the words computed so far: the rest are never read
+    // before they are written, and copying them would read indeterminate
+    // values (and 2.5 KB per copy of a fresh generator).
+    Mt19937_64(const Mt19937_64& other) { *this = other; }
+    Mt19937_64&
+    operator=(const Mt19937_64& other)
+    {
+        if (this == &other) {
+            return *this;
+        }
+        std::copy_n(other.x_, other.seeded_, x_);
+        p_ = other.p_;
+        seeded_ = other.seeded_;
+        lazy_ = other.lazy_;
+        return *this;
+    }
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type
+    operator()()
+    {
+        if (lazy_) {
+            if (p_ < kShift) {
+                seedThrough(p_ + kShift);
+                x_[p_] = twistWord(x_[p_], x_[p_ + 1], x_[p_ + kShift]);
+                return temper(x_[p_++]);
+            }
+            materialize();
+        }
+        if (p_ >= kStateWords) {
+            twistFrom(0);
+            p_ = 0;
+        }
+        return temper(x_[p_++]);
+    }
+
+    /** Prints the state exactly as std::mt19937_64's operator<< does. */
+    friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
+
+  private:
+    static constexpr size_t kStateWords = 312;
+    /** The twist's middle distance m (n/2 for the 64-bit engine). */
+    static constexpr size_t kShift = 156;
+
+    static uint64_t
+    twistWord(uint64_t word, uint64_t next, uint64_t far)
+    {
+        constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+        uint64_t y = (word & kUpper) | (next & ~kUpper);
+        return far ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
+    }
+
+    static uint64_t
+    temper(uint64_t z)
+    {
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+    /** Runs the seeding recurrence up to and including word @p last. */
+    void
+    seedThrough(size_t last)
+    {
+        for (; seeded_ <= last; ++seeded_) {
+            uint64_t prev = x_[seeded_ - 1];
+            x_[seeded_] =
+                6364136223846793005ULL * (prev ^ (prev >> 62)) + seeded_;
+        }
+    }
+
+    /** Finishes the lazy first block: the rest of the seeding, then the
+     *  rest of the first twist (none when nothing has been drawn yet). */
+    void materialize();
+    /** Twists words [from, 312) of the current block. */
+    void twistFrom(size_t from);
+
+    /** State words; only [0, seeded_) are defined (all once !lazy_). */
+    uint64_t x_[kStateWords];
+    /** Next output index into x_ (the index operator<< prints). */
+    size_t p_ = 0;
+    /** Words of the seeding recurrence computed so far. */
+    size_t seeded_ = 1;
+    /** True while words [p_, 312) of the first block are untwisted. */
+    bool lazy_ = true;
+};
+
+/**
  * Deterministic random source used everywhere in the framework.
  *
- * Wraps a 64-bit Mersenne Twister with the handful of draws the framework
- * needs. Every component that needs randomness receives (or derives) an
+ * Wraps a 64-bit Mersenne Twister (Mt19937_64: std::mt19937_64's exact
+ * sequence) with the handful of draws the framework needs. Every component that needs randomness receives (or derives) an
  * explicit Rng so that whole experiments are reproducible from a single
  * seed. Use derive() to split independent streams (e.g., one per map task)
  * without correlated sequences.
@@ -52,8 +170,9 @@ class Rng
     Rng derive(uint64_t stream);
 
     /**
-     * Samples @p k distinct indices uniformly from [0, n) in O(k) expected
-     * time (Floyd's algorithm). The result is not sorted.
+     * Samples @p k distinct indices uniformly from [0, n) with k draws
+     * (Floyd's algorithm; membership is an n-bit bitmap). The result is
+     * not sorted: its order is part of the draw sequence.
      */
     std::vector<uint64_t> sampleWithoutReplacement(uint64_t n, uint64_t k);
 
@@ -69,10 +188,10 @@ class Rng
     }
 
     /** Exposes the underlying engine for use with std distributions. */
-    std::mt19937_64& engine() { return engine_; }
+    Mt19937_64& engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
 };
 
 /** SplitMix64 step; used for cheap per-item hashing/seeding. */

@@ -150,9 +150,9 @@ class InMemoryDataset : public BlockDataset
  * Blocks synthesized in full are retained in a bounded in-memory block
  * cache (a DataNode block cache stand-in): the simulated cluster re-reads
  * the same blocks across runs and repetitions, and re-synthesizing them
- * from mt19937 seeds each time would dominate wall-clock time without
- * modeling anything (real input bytes exist; they are not recomputed per
- * read). The cache never changes record content, only where the bytes
+ * (one seeded Rng stream per record) each time would dominate wall-clock
+ * time without modeling anything (real input bytes exist; they are not
+ * recomputed per read). The cache never changes record content, only where the bytes
  * come from.
  */
 class GeneratedDataset : public BlockDataset

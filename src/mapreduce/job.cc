@@ -705,9 +705,6 @@ Job::startAttempt(uint64_t task_id, uint32_t server, bool local)
             Rng sample_rng = Rng(config_.seed).derive(0x5A5A + task_id);
             exec.sample = input_format_->select(
                 task_id, task.items_total, task.sampling_ratio, sample_rng);
-            if (pool_ != nullptr) {
-                launchMapCompute(task_id);
-            }
         }
     }
 
@@ -750,6 +747,15 @@ Job::startAttempt(uint64_t task_id, uint32_t server, bool local)
             [this, task_id, attempt_index] {
                 onAttemptFinish(task_id, attempt_index);
             });
+    }
+    if (pool_ != nullptr && !fate.crashes) {
+        // Every attempt that will finish queues the task at its
+        // scheduled finish, so the earliest one (a speculative twin, say)
+        // sets its turn; a task whose attempts all crash before it is
+        // absorbed is never computed at all.
+        deferred_compute_.emplace(cluster_.now() + attempt.cost.total,
+                                  task_id);
+        fillComputeWindow();
     }
     exec.attempts.push_back(attempt);
     if (obs_ != nullptr) {
@@ -899,14 +905,19 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
     // Obtain the user map function's real output. In parallel mode the
     // work was computed (or is still being computed) by the pool; get()
     // blocks only on *this* task and rethrows any user exception here,
-    // exactly where serial mode would have thrown it.
+    // exactly where serial mode would have thrown it. A task the window
+    // never submitted computes inline, as in serial mode.
     std::vector<MapOutputChunk> chunks;
     if (exec.pending_output.valid()) {
         chunks = exec.pending_output.get();
+        --outputs_in_flight_;
     } else {
         std::unique_ptr<Mapper> mapper = mapper_factory_();
         chunks = computeMapOutput(task_id, task.items_total,
                                   task.approximate, std::move(mapper));
+    }
+    if (pool_ != nullptr) {
+        fillComputeWindow();
     }
 
     // Shuffle-transfer integrity: every chunk's checksum is verified at
@@ -1005,6 +1016,7 @@ Job::killRunningTask(uint64_t task_id)
     }
     task.state = TaskState::kKilled;
     task.finish_time = cluster_.now();
+    releaseMapOutput(task_id);
     --running_count_;
     ++terminal_count_;
     ++counters_.maps_killed;
@@ -1226,6 +1238,7 @@ Job::absorbFailedTask(uint64_t task_id)
     MapTaskInfo& task = tasks_[task_id];
     task.state = TaskState::kAbsorbed;
     task.finish_time = cluster_.now();
+    releaseMapOutput(task_id);
     ++terminal_count_;
     ++counters_.maps_absorbed;
     ++wave_counts_[task.wave].second;
@@ -1265,6 +1278,7 @@ Job::killRetryWaiter(uint64_t task_id)
     --retry_wait_count_;
     task.state = TaskState::kKilled;
     task.finish_time = cluster_.now();
+    releaseMapOutput(task_id);
     ++terminal_count_;
     ++counters_.maps_killed;
     ++wave_counts_[task.wave].second;
@@ -1288,6 +1302,7 @@ Job::failJob(uint64_t failing_task, const std::string& message)
     MapTaskInfo& failing = tasks_[failing_task];
     failing.state = TaskState::kKilled;
     failing.finish_time = cluster_.now();
+    releaseMapOutput(failing_task);
     ++terminal_count_;
     ++counters_.maps_killed;
     ++wave_counts_[failing.wave].second;
@@ -1690,6 +1705,39 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
 }
 
 void
+Job::fillComputeWindow()
+{
+    // Outputs are merged in simulated-finish order, so the ones due
+    // first are computed first; a worker running further ahead would
+    // only park its output in memory until the driver reaches it.
+    const size_t window = kRunAheadPerThread * pool_->numThreads();
+    while (outputs_in_flight_ < window && !deferred_compute_.empty()) {
+        uint64_t task_id = deferred_compute_.top().second;
+        deferred_compute_.pop();
+        // Entries are dropped lazily: the task may have ended (killed,
+        // absorbed, dropped, completed inline) while it waited.
+        if (isTerminal(tasks_[task_id].state) ||
+            exec_[task_id].pending_output.valid()) {
+            continue;
+        }
+        launchMapCompute(task_id);
+    }
+}
+
+void
+Job::releaseMapOutput(uint64_t task_id)
+{
+    // The worker may still be running; dropping the future only lets
+    // its result be freed as soon as it is written.
+    std::future<std::vector<MapOutputChunk>>& output =
+        exec_[task_id].pending_output;
+    if (output.valid()) {
+        output = {};
+        --outputs_in_flight_;
+    }
+}
+
+void
 Job::launchMapCompute(uint64_t task_id)
 {
     // The factory runs on the driver thread (factories may share app
@@ -1699,6 +1747,7 @@ Job::launchMapCompute(uint64_t task_id)
     // internal lock publishes those writes to the worker.
     MapTaskInfo& task = tasks_[task_id];
     std::unique_ptr<Mapper> mapper = mapper_factory_();
+    ++outputs_in_flight_;
     exec_[task_id].pending_output =
         pool_->submit([this, task_id, items_total = task.items_total,
                        approximate = task.approximate,
@@ -1885,6 +1934,7 @@ Job::dropPendingTask(uint64_t task_id)
     }
     task.state = TaskState::kDropped;
     task.finish_time = cluster_.now();
+    releaseMapOutput(task_id);
     ++terminal_count_;
     ++counters_.maps_dropped;
 }
@@ -2011,7 +2061,8 @@ Job::captureEpoch(uint32_t kind, int wave)
     e.delivered = std::move(epoch_delivered_);
     epoch_delivered_.clear();
     {
-        // mt19937_64 defines operator<< over its full 19968-bit state;
+        // The engine prints its full 19968-bit state as std::mt19937_64
+        // does, however much of it the lazy seeding has computed yet;
         // printing never advances the engine, so the digest is a pure
         // observation. Any divergence in the driver's draw sequence
         // between the crashed and the resumed run surfaces here.

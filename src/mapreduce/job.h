@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -131,12 +132,13 @@ class JobFailedError : public std::runtime_error
  * When JobConfig::num_exec_threads > 1 the real CPU work of in-flight map
  * tasks executes concurrently on a ThreadPool while the driver thread
  * keeps sole ownership of simulated time, scheduling, the job Rng, the
- * counters, and the reducers. A task's computation is launched when its
- * first attempt starts (its sample and flags are frozen at that point)
- * and its output is merged when its completion *event* fires, so the
- * shuffle order — and therefore every estimate, confidence interval, and
- * controller decision — is bit-identical to serial execution
- * (see DESIGN.md, "Parallel wave execution").
+ * counters, and the reducers. A task's computation is submitted once an
+ * attempt that will finish has started (its sample and flags are frozen
+ * by then) and a bounded run-ahead window has room, earliest scheduled
+ * finish first, and its output is merged when its completion *event*
+ * fires, so the shuffle order — and therefore every estimate,
+ * confidence interval, and controller decision — is bit-identical to
+ * serial execution (see DESIGN.md, "Parallel wave execution").
  */
 class Job
 {
@@ -348,12 +350,15 @@ class Job
         bool delivered = false;
         /**
          * Partitioned map output being computed by the thread pool
-         * (parallel mode only; invalid in serial mode). Launched when the
-         * task's first attempt starts, consumed when the winning attempt's
-         * completion event fires — in simulated-time order, so the merge
-         * into the reducers is deterministic regardless of which worker
-         * thread finished first. Killed, failed, and absorbed tasks simply
-         * never consume theirs (re-attempts reuse the same future: the
+         * (parallel mode only; invalid in serial mode). Submitted once
+         * an attempt that will finish (not crash) has started and the
+         * run-ahead window has room (see fillComputeWindow), consumed
+         * when the winning attempt's completion event fires — in
+         * simulated-time order, so the merge into the reducers is
+         * deterministic regardless of which worker thread finished
+         * first. A task that completes before its turn in the window
+         * computes inline. Killed, dropped, and absorbed tasks release
+         * theirs unconsumed (re-attempts reuse the same future: the
          * computation is a pure function of the frozen sample, so the
          * simulated crash does not invalidate it).
          */
@@ -497,6 +502,15 @@ class Job
     std::vector<MapOutputChunk>
     computeMapOutput(uint64_t task_id, uint64_t items_total,
                      bool approximate, std::unique_ptr<Mapper> mapper) const;
+    /**
+     * Submits queued computations, earliest scheduled finish first, while
+     * fewer than kRunAheadPerThread outputs per worker are submitted but
+     * not yet consumed or released.
+     */
+    void fillComputeWindow();
+    /** Gives up the unconsumed output of a task that ended without
+     *  delivering (killed, absorbed, dropped) and frees its window slot. */
+    void releaseMapOutput(uint64_t task_id);
     /** Submits computeMapOutput() for @p task_id to the thread pool. */
     void launchMapCompute(uint64_t task_id);
     /**
@@ -584,6 +598,22 @@ class Job
      * Created for the duration of run() only.
      */
     std::unique_ptr<ThreadPool> pool_;
+    /**
+     * The run-ahead window: at most this many outputs per pool worker are
+     * submitted but not yet consumed. A fixed constant, not a setting:
+     * with finish-ordered submission a larger window gains little time
+     * and holds more finished outputs in memory (DESIGN.md, "Run-ahead
+     * window").
+     */
+    static constexpr size_t kRunAheadPerThread = 2;
+    /** Outputs submitted to pool_ and not yet consumed or released. */
+    size_t outputs_in_flight_ = 0;
+    /** Tasks waiting for window room, keyed by the scheduled finish of
+     *  an attempt that will finish (earliest on top, ties by task id). */
+    std::priority_queue<std::pair<sim::SimTime, uint64_t>,
+                        std::vector<std::pair<sim::SimTime, uint64_t>>,
+                        std::greater<>>
+        deferred_compute_;
 
     std::vector<MapTaskInfo> tasks_;
     std::vector<TaskExec> exec_;

@@ -75,9 +75,9 @@ makeWikiDump(const WikiDumpParams& params)
         return out;
     };
     // Batched synthesis draws the block-effect multiplier once per block
-    // instead of once per record (one mt19937 construction + twist fewer
-    // per record; the multiplier is a separate engine, so hoisting it
-    // leaves every record byte-identical).
+    // instead of once per record (one seeded Rng stream fewer per record;
+    // the multiplier has a stream of its own, so hoisting it leaves every
+    // record byte-identical).
     auto block_generator = [p, zipf](uint64_t block,
                                      const uint64_t* indices, size_t count,
                                      hdfs::RecordBuffer& out) {

@@ -4,6 +4,7 @@
  * answers + streaming equivalence), the checkpoint blob codec, and
  * chunk stamping/verification/corruption.
  */
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -88,10 +89,14 @@ TEST(IntegrityBlobTest, TruncatedAndTrailingBytesThrow)
     w.putU64(7);
     std::string blob = w.str();
 
-    BlobReader truncated(blob.substr(0, 3));
+    // BlobReader keeps a reference, so each buffer is a named string that
+    // outlives its reader.
+    const std::string head = blob.substr(0, 3);
+    BlobReader truncated(head);
     EXPECT_THROW(truncated.getU64(), std::runtime_error);
 
-    BlobReader trailing(blob + "x");
+    const std::string padded = blob + "x";
+    BlobReader trailing(padded);
     EXPECT_EQ(trailing.getU64(), 7u);
     EXPECT_FALSE(trailing.atEnd());
     EXPECT_THROW(trailing.expectEnd(), std::runtime_error);
