@@ -686,6 +686,13 @@ ChaosOracle::check(const Scenario& s) const
         if (!diff.empty()) {
             violate("determinism", "counters at failure differ: " + diff);
         }
+        // The teardown kills or drops every task still in flight, so a
+        // failed run conserves exactly like a successful one.
+        std::string conservation =
+            serial.counters.conservationViolation(s.reducers);
+        if (!conservation.empty()) {
+            violate("conservation", "failed run: " + conservation);
+        }
         return violations;
     }
     if (s.mode == ft::FailureMode::kRetry && !s.has_target &&

@@ -75,7 +75,8 @@ struct RunOutcome
  *
  *  - determinism: outputs, counters, and runtime bit-identical across
  *    thread counts;
- *  - counter conservation: Counters::conservationViolation();
+ *  - counter conservation: Counters::conservationViolation(), on
+ *    failed runs too;
  *  - termination/exit-code contract: only retry mode may fail the job,
  *    and a successful retry-mode run completed every map;
  *  - statistical soundness (absorb identity): when the scenario's

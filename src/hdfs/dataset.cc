@@ -155,11 +155,4 @@ GeneratedDataset::readItems(uint64_t block, const uint64_t* indices,
     }
 }
 
-size_t
-GeneratedDataset::cachedBytes() const
-{
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    return cache_bytes_;
-}
-
 }  // namespace approxhadoop::hdfs

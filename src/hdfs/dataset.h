@@ -191,9 +191,6 @@ class GeneratedDataset : public BlockDataset
                    RecordBuffer& out) const override;
     uint64_t bytesPerItem() const override { return bytes_per_item_; }
 
-    /** Cached payload bytes (for tests/diagnostics). */
-    size_t cachedBytes() const;
-
   private:
     /** Appends the requested records via the best available generator. */
     void generate(uint64_t block, const uint64_t* indices, size_t count,

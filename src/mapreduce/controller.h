@@ -31,7 +31,6 @@ class JobHandle
     uint64_t runningMaps() const;
     uint64_t completedMaps() const;
     uint64_t droppedMaps() const;  ///< dropped + killed + absorbed
-    uint64_t absorbedMaps() const; ///< failures absorbed as drops
 
     /** Task record (valid for ids in [0, numMapTasks())). */
     const MapTaskInfo& mapTask(uint64_t task_id) const;

@@ -144,12 +144,6 @@ JobHandle::droppedMaps() const
            job_.counters_.maps_absorbed;
 }
 
-uint64_t
-JobHandle::absorbedMaps() const
-{
-    return job_.counters_.maps_absorbed;
-}
-
 const MapTaskInfo&
 JobHandle::mapTask(uint64_t task_id) const
 {
@@ -416,9 +410,7 @@ Job::finishSuspendNow()
     // keep their aggregates in memory).
     suspend_pending_ = false;
     suspended_ = true;
-    for (uint32_t server : reducer_servers_) {
-        cluster_.server(server).releaseReduceSlot(cluster_.now());
-    }
+    releaseReducerSlots();
     maybeRetireDrained();
     SuspendHandler handler = std::move(suspend_handler_);
     suspend_handler_ = nullptr;
@@ -536,6 +528,14 @@ Job::acquireReducerSlots()
             throw std::runtime_error(
                 "not enough reduce slots for requested reducers");
         }
+    }
+}
+
+void
+Job::releaseReducerSlots()
+{
+    for (uint32_t server : reducer_servers_) {
+        cluster_.server(server).releaseReduceSlot(cluster_.now());
     }
 }
 
@@ -669,6 +669,12 @@ Job::scheduleLoop()
     maybeFinishSuspend();
 }
 
+/**
+ * Read-cost multiplier for a map attempt that cannot run block-local:
+ * the block ships over the 1 Gb interconnect.
+ */
+constexpr double kRemoteReadPenalty = 1.3;
+
 void
 Job::startAttempt(uint64_t task_id, uint32_t server, bool local)
 {
@@ -716,7 +722,7 @@ Job::startAttempt(uint64_t task_id, uint32_t server, bool local)
         rng_.derive(task_id * 7919 + exec.attempts.size());
     attempt.cost = config_.map_cost.durationDetailed(
         task.items_total, exec.sample.size(), srv.speed(),
-        local ? 1.0 : config_.remote_read_penalty,
+        local ? 1.0 : kRemoteReadPenalty,
         config_.framework_overhead, duration_rng, task.approximate);
     size_t attempt_index = exec.attempts.size();
 
@@ -887,18 +893,9 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
 
     // Cancel losing attempts and free their slots.
     for (size_t a = 0; a < exec.attempts.size(); ++a) {
-        if (a == attempt_index || exec.attempts[a].done) {
-            continue;
-        }
-        cluster_.events().cancel(exec.attempts[a].event);
-        releaseAttemptSlot(exec.attempts[a]);
-        exec.attempts[a].done = true;
-        ++counters_.map_attempts_cancelled;
-        counters_.wasted_attempt_seconds +=
-            cluster_.now() - exec.attempts[a].start;
-        if (obs_ != nullptr) {
-            obs_->trace.mapAttemptFinish(task_id, a, "cancelled",
-                                         cluster_.now());
+        if (!exec.attempts[a].done) {
+            endAttempt(task_id, a, "cancelled");
+            ++counters_.map_attempts_cancelled;
         }
     }
 
@@ -929,7 +926,6 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
         ++task.failed_attempts;
         ++counters_.map_outputs_lost;
         counters_.wasted_attempt_seconds += cluster_.now() - winner.start;
-        --running_count_;
         if (obs_ != nullptr) {
             obs_->trace.mapAttemptFinish(task_id, attempt_index,
                                          "output-lost", cluster_.now());
@@ -939,8 +935,6 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
         return;
     }
 
-    task.state = TaskState::kCompleted;
-    task.finish_time = cluster_.now();
     task.server = winner.server;
     task.local = winner.local;
     task.items_processed =
@@ -951,8 +945,7 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
     task.read_time = winner.cost.read;
     task.process_time = winner.cost.process;
     --running_count_;
-    ++terminal_count_;
-    ++counters_.maps_completed;
+    finishTask(task_id, TaskState::kCompleted);
     counters_.items_read += task.items_total;
     counters_.items_processed += task.items_processed;
     if (winner.local) {
@@ -962,7 +955,6 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
     }
     completed_duration_sum_ += task.duration();
     ++completed_duration_count_;
-    ++wave_counts_[task.wave].second;
     if (obs_ != nullptr) {
         obs_->trace.mapAttemptFinish(task_id, attempt_index, "completed",
                                      cluster_.now());
@@ -994,33 +986,82 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
 }
 
 void
-Job::killRunningTask(uint64_t task_id)
+Job::endAttempt(uint64_t task_id, size_t attempt_index, const char* outcome)
+{
+    Attempt& a = exec_[task_id].attempts[attempt_index];
+    assert(!a.done);
+    // No-op when the attempt's own event is what brought us here.
+    cluster_.events().cancel(a.event);
+    releaseAttemptSlot(a);
+    a.done = true;
+    counters_.wasted_attempt_seconds += cluster_.now() - a.start;
+    if (obs_ != nullptr) {
+        obs_->trace.mapAttemptFinish(task_id, attempt_index, outcome,
+                                     cluster_.now());
+    }
+}
+
+void
+Job::finishTask(uint64_t task_id, TaskState state)
 {
     MapTaskInfo& task = tasks_[task_id];
-    assert(task.state == TaskState::kRunning);
-    TaskExec& exec = exec_[task_id];
-    for (size_t i = 0; i < exec.attempts.size(); ++i) {
-        Attempt& a = exec.attempts[i];
-        if (a.done) {
-            continue;
-        }
-        cluster_.events().cancel(a.event);
-        releaseAttemptSlot(a);
-        a.done = true;
-        ++counters_.map_attempts_cancelled;
-        counters_.wasted_attempt_seconds += cluster_.now() - a.start;
-        if (obs_ != nullptr) {
-            obs_->trace.mapAttemptFinish(task_id, i, "killed",
-                                         cluster_.now());
-        }
-    }
-    task.state = TaskState::kKilled;
+    assert(!isTerminal(task.state));
+    task.state = state;
     task.finish_time = cluster_.now();
     releaseMapOutput(task_id);
-    --running_count_;
     ++terminal_count_;
-    ++counters_.maps_killed;
+    switch (state) {
+    case TaskState::kCompleted:
+        ++counters_.maps_completed;
+        break;
+    case TaskState::kKilled:
+        ++counters_.maps_killed;
+        break;
+    case TaskState::kAbsorbed:
+        ++counters_.maps_absorbed;
+        break;
+    case TaskState::kDropped:
+        // Dropped tasks never count toward a wave.
+        ++counters_.maps_dropped;
+        return;
+    default:
+        assert(false && "finishTask needs a terminal state");
+    }
     ++wave_counts_[task.wave].second;
+}
+
+void
+Job::cancelTask(uint64_t task_id)
+{
+    switch (tasks_[task_id].state) {
+    case TaskState::kPending:
+        --pending_count_;
+        finishTask(task_id, TaskState::kDropped);
+        return;
+    case TaskState::kHeld:
+        --held_count_;
+        finishTask(task_id, TaskState::kDropped);
+        return;
+    case TaskState::kRunning: {
+        const std::vector<Attempt>& attempts = exec_[task_id].attempts;
+        for (size_t a = 0; a < attempts.size(); ++a) {
+            if (!attempts[a].done) {
+                endAttempt(task_id, a, "killed");
+                ++counters_.map_attempts_cancelled;
+            }
+        }
+        --running_count_;
+        break;
+    }
+    case TaskState::kAwaitingRetry:
+        cluster_.events().cancel(exec_[task_id].retry_event);
+        exec_[task_id].retry_event = 0;
+        --retry_wait_count_;
+        break;
+    default:
+        return;  // already terminal
+    }
+    finishTask(task_id, TaskState::kKilled);
 }
 
 // ---------------------------------------------------------------------------
@@ -1111,7 +1152,6 @@ Job::onOrphanDetected(uint64_t task_id, sim::SimTime crashed_at)
                 cluster_.now());
         }
     }
-    --running_count_;
     resolveFailure(task_id);
 }
 
@@ -1128,28 +1168,16 @@ Job::releaseAttemptSlot(const Attempt& attempt)
 void
 Job::failAttempt(uint64_t task_id, size_t attempt_index)
 {
-    Attempt& a = exec_[task_id].attempts[attempt_index];
-    assert(!a.done);
-    // No-op when this attempt's own crash event is what brought us here;
-    // required when a server crash kills the attempt mid-flight.
-    cluster_.events().cancel(a.event);
-    a.done = true;
-    a.failed = true;
-    releaseAttemptSlot(a);
+    endAttempt(task_id, attempt_index, "failed");
+    exec_[task_id].attempts[attempt_index].failed = true;
     ++tasks_[task_id].failed_attempts;
     ++counters_.map_attempts_failed;
-    counters_.wasted_attempt_seconds += cluster_.now() - a.start;
-    if (obs_ != nullptr) {
-        obs_->trace.mapAttemptFinish(task_id, attempt_index, "failed",
-                                     cluster_.now());
-    }
 }
 
 void
 Job::onAttemptFailed(uint64_t task_id, size_t attempt_index)
 {
-    MapTaskInfo& task = tasks_[task_id];
-    assert(task.state == TaskState::kRunning);
+    assert(tasks_[task_id].state == TaskState::kRunning);
     failAttempt(task_id, attempt_index);
 
     for (const Attempt& a : exec_[task_id].attempts) {
@@ -1160,13 +1188,15 @@ Job::onAttemptFailed(uint64_t task_id, size_t attempt_index)
             return;
         }
     }
-    --running_count_;
     resolveFailure(task_id);
 }
 
 void
 Job::resolveFailure(uint64_t task_id)
 {
+    // The task leaves the running count before the controller rules on
+    // it, yet still reads kRunning through JobHandle::mapTask().
+    --running_count_;
     MapTaskInfo& task = tasks_[task_id];
     bool absorb = false;
     switch (config_.failure_mode) {
@@ -1196,27 +1226,28 @@ Job::resolveFailure(uint64_t task_id)
     if (!absorb && task.failed_attempts >= config_.recovery.max_attempts) {
         if (config_.failure_mode == ft::FailureMode::kRetry) {
             // Stock-Hadoop semantics: a task out of attempts fails the
-            // whole job. Job::run() attaches the counters so callers can
-            // print the fault summary. Under a service, throwing out of
-            // an event callback would tear down the shared queue and
-            // every other tenant's job with it — the failure is routed
-            // to the completion handler instead.
-            std::string message =
-                "map task " + std::to_string(task_id) + " failed " +
-                std::to_string(task.failed_attempts) +
-                " attempts (max_attempts exhausted)";
-            if (completion_handler_) {
-                failJob(task_id, message);
-                return;
-            }
-            throw JobFailedError(message);
+            // whole job.
+            failJob(task_id, "map task " + std::to_string(task_id) +
+                                 " failed " +
+                                 std::to_string(task.failed_attempts) +
+                                 " attempts (max_attempts exhausted)");
+            return;
         }
         // kAuto chose retry but no attempts remain: absorbing is always
         // statistically valid, failing the job never is.
         absorb = true;
     }
     if (absorb) {
-        absorbFailedTask(task_id);
+        // Its chunk is never delivered: the reducers see one cluster
+        // fewer, which widens the confidence interval exactly as
+        // dropping does.
+        finishTask(task_id, TaskState::kAbsorbed);
+        if (obs_ != nullptr) {
+            obs_->trace.taskAbsorbed(task_id, cluster_.now());
+        }
+        scheduleLoop();
+        checkWaveCompletion(task.wave);
+        checkMapPhaseDone();
         return;
     }
     task.state = TaskState::kAwaitingRetry;
@@ -1230,26 +1261,6 @@ Job::resolveFailure(uint64_t task_id)
         delay, [this, task_id] { requeueTask(task_id); });
     // The freed slot can host other work during the backoff.
     scheduleLoop();
-}
-
-void
-Job::absorbFailedTask(uint64_t task_id)
-{
-    MapTaskInfo& task = tasks_[task_id];
-    task.state = TaskState::kAbsorbed;
-    task.finish_time = cluster_.now();
-    releaseMapOutput(task_id);
-    ++terminal_count_;
-    ++counters_.maps_absorbed;
-    ++wave_counts_[task.wave].second;
-    if (obs_ != nullptr) {
-        obs_->trace.taskAbsorbed(task_id, cluster_.now());
-    }
-    // Its chunk is never delivered: the reducers see one cluster fewer,
-    // which widens the confidence interval exactly as dropping does.
-    scheduleLoop();
-    checkWaveCompletion(task.wave);
-    checkMapPhaseDone();
 }
 
 void
@@ -1269,68 +1280,41 @@ Job::requeueTask(uint64_t task_id)
 }
 
 void
-Job::killRetryWaiter(uint64_t task_id)
-{
-    MapTaskInfo& task = tasks_[task_id];
-    assert(task.state == TaskState::kAwaitingRetry);
-    cluster_.events().cancel(exec_[task_id].retry_event);
-    exec_[task_id].retry_event = 0;
-    --retry_wait_count_;
-    task.state = TaskState::kKilled;
-    task.finish_time = cluster_.now();
-    releaseMapOutput(task_id);
-    ++terminal_count_;
-    ++counters_.maps_killed;
-    ++wave_counts_[task.wave].second;
-}
-
-void
 Job::failJob(uint64_t failing_task, const std::string& message)
 {
     assert(!job_done_ && !job_failed_);
     job_failed_ = true;
     failure_message_ = message;
-    // Pending driver kills die with the job; see driver_crash_events_.
+    // A suspension racing the failure resolves as not-suspended.
+    cancelPendingSuspend();
+    // The failing task already left the running count with every attempt
+    // done and its slots returned.
+    finishTask(failing_task, TaskState::kKilled);
+    // The rest goes through the controller's kill/drop path, so every
+    // held map slot returns to the cluster and every pending attempt,
+    // detection and backoff event is cancelled. Its checkMapPhaseDone()
+    // is a no-op on a failed job.
+    dropAllRemaining();
+    // The reducers never ran; free their slots for the next tenant.
+    releaseReducerSlots();
+    endJob();
+    notifyCompletion();
+}
+
+void
+Job::endJob()
+{
+    end_time_ = cluster_.now();
+    // Pending driver kills die with the job: without this, a dcrash time
+    // beyond the job's end would keep the event loop alive and accrue
+    // idle energy the uninterrupted run never sees.
     for (sim::EventQueue::EventId id : driver_crash_events_) {
         cluster_.events().cancel(id);
     }
     driver_crash_events_.clear();
-    // A suspension racing the failure resolves as not-suspended.
-    cancelPendingSuspend();
-    // The failing task already left the running count with every attempt
-    // done and its slots returned; mark it terminal directly.
-    MapTaskInfo& failing = tasks_[failing_task];
-    failing.state = TaskState::kKilled;
-    failing.finish_time = cluster_.now();
-    releaseMapOutput(failing_task);
-    ++terminal_count_;
-    ++counters_.maps_killed;
-    ++wave_counts_[failing.wave].second;
-    // Tear the rest down through the normal kill paths so every held map
-    // slot goes back to the shared cluster and every pending event
-    // (attempt completions, detections, retry backoffs) is cancelled.
-    for (MapTaskInfo& t : tasks_) {
-        if (t.task_id == failing_task) {
-            continue;
-        }
-        if (t.state == TaskState::kPending ||
-            t.state == TaskState::kHeld) {
-            dropPendingTask(t.task_id);
-        } else if (t.state == TaskState::kRunning) {
-            killRunningTask(t.task_id);
-        } else if (t.state == TaskState::kAwaitingRetry) {
-            killRetryWaiter(t.task_id);
-        }
-    }
-    // The reducers never ran; free their slots for the next tenant.
-    for (uint32_t server : reducer_servers_) {
-        cluster_.server(server).releaseReduceSlot(cluster_.now());
-    }
-    end_time_ = cluster_.now();
     if (obs_ != nullptr) {
         obs_->trace.endJob(cluster_.now());
     }
-    notifyCompletion();
 }
 
 void
@@ -1349,6 +1333,9 @@ Job::notifyCompletion()
 void
 Job::onServerCrash(ft::FaultPlan::ServerCrash crash)
 {
+    if (job_failed_) {
+        return;
+    }
     crashOneServer(crash.server, crash.down_for, /*leave_fleet=*/false);
 }
 
@@ -1921,24 +1908,6 @@ Job::restartReducer(uint32_t reducer)
 // Job: controller operations
 // ---------------------------------------------------------------------------
 
-void
-Job::dropPendingTask(uint64_t task_id)
-{
-    MapTaskInfo& task = tasks_[task_id];
-    assert(task.state == TaskState::kPending ||
-           task.state == TaskState::kHeld);
-    if (task.state == TaskState::kPending) {
-        --pending_count_;
-    } else {
-        --held_count_;
-    }
-    task.state = TaskState::kDropped;
-    task.finish_time = cluster_.now();
-    releaseMapOutput(task_id);
-    ++terminal_count_;
-    ++counters_.maps_dropped;
-}
-
 uint64_t
 Job::dropPendingMaps(uint64_t count)
 {
@@ -1953,7 +1922,7 @@ Job::dropPendingMaps(uint64_t count)
     // set independently so repeated calls stay unbiased.
     rng_.shuffle(pending);
     for (uint64_t i = 0; i < to_drop; ++i) {
-        dropPendingTask(pending[i]);
+        cancelTask(pending[i]);
     }
     if (to_drop > 0) {
         checkMapPhaseDone();
@@ -1964,14 +1933,8 @@ Job::dropPendingMaps(uint64_t count)
 void
 Job::dropAllRemaining()
 {
-    for (MapTaskInfo& t : tasks_) {
-        if (t.state == TaskState::kPending || t.state == TaskState::kHeld) {
-            dropPendingTask(t.task_id);
-        } else if (t.state == TaskState::kRunning) {
-            killRunningTask(t.task_id);
-        } else if (t.state == TaskState::kAwaitingRetry) {
-            killRetryWaiter(t.task_id);
-        }
+    for (uint64_t t = 0; t < tasks_.size(); ++t) {
+        cancelTask(t);
     }
     checkMapPhaseDone();
 }
@@ -2201,18 +2164,8 @@ Job::onReducerDone(uint32_t reducer)
     }
     ++reducers_done_;
     if (reducers_done_ == config_.num_reducers) {
-        end_time_ = cluster_.now();
         job_done_ = true;
-        // Pending driver kills die with the job: without this, a dcrash
-        // time beyond the job's end would keep the event loop alive and
-        // accrue idle energy the uninterrupted run never sees.
-        for (sim::EventQueue::EventId id : driver_crash_events_) {
-            cluster_.events().cancel(id);
-        }
-        driver_crash_events_.clear();
-        if (obs_ != nullptr) {
-            obs_->trace.endJob(cluster_.now());
-        }
+        endJob();
         // Wake any servers we parked so the cluster is reusable.
         for (sim::Server& s : cluster_.servers()) {
             if (s.state() == sim::ServerState::kLowPower) {
@@ -2290,9 +2243,6 @@ Job::start()
     for (double at : config_.fault_plan.driver_crashes) {
         driver_crash_events_.push_back(
             cluster_.events().scheduleAfter(at, [this, at] {
-                if (job_done_ || job_failed_) {
-                    return;  // fired after completion: harmless no-op
-                }
                 if (driver_crashes_fired_++ < config_.driver_crash_skip) {
                     return;
                 }
@@ -2337,18 +2287,12 @@ JobResult
 Job::run()
 {
     start();
-    try {
-        cluster_.events().run();
-    } catch (JobFailedError& e) {
-        e.counters = counters_;
-        if (obs_ != nullptr) {
-            obs_->trace.endJob(cluster_.now());
-        }
-        pool_.reset();
-        throw;
+    cluster_.events().run();
+    if (job_failed_) {
+        JobFailedError error(failure_message_);
+        error.counters = counters_;
+        throw error;
     }
-    pool_.reset();
-
     if (!job_done_) {
         throw std::runtime_error("job did not complete (scheduler stall)");
     }

@@ -102,7 +102,8 @@ class JobFailedError : public std::runtime_error
     {
     }
 
-    /** Counter snapshot at the moment the job aborted. */
+    /** Counters after the job's teardown: every task ended, so they
+     *  satisfy Counters::conservationViolation(). */
     Counters counters;
 };
 
@@ -212,7 +213,11 @@ class Job
      */
     void setInitialApproximateFraction(double fraction);
 
-    /** Runs the job to completion and returns its results. */
+    /**
+     * Runs the job to completion and returns its results.
+     * @throws JobFailedError once the event queue drains, when a task
+     *         ran out of attempts in FailureMode::kRetry
+     */
     JobResult run();
 
     // --- service-mode surface (src/service/) -----------------------------
@@ -220,12 +225,12 @@ class Job
     // A JobService drives many jobs on one shared cluster/event queue:
     // it calls start() on each admitted job, pumps the queue itself, and
     // learns of completion through the handler instead of blocking in
-    // run(). run() is implemented as start() + pump-to-empty + collect,
-    // so standalone behavior is bit-identical to before the split.
+    // run(). run() is start() + pump-to-empty + collect (or throw
+    // JobFailedError), so a job ends through the same paths either way.
 
     /** Called when the job reaches a terminal state. @p failed is true
-     *  when recovery was exhausted (retry mode); the job then does NOT
-     *  throw JobFailedError — the message is passed here instead. */
+     *  when recovery was exhausted (retry mode), with the message run()
+     *  would throw as JobFailedError. */
     using CompletionHandler =
         std::function<void(bool failed, const std::string& error)>;
 
@@ -245,8 +250,6 @@ class Job
 
     /** True once the job reached a terminal state (success or failure). */
     bool done() const { return job_done_ || job_failed_; }
-    bool jobFailed() const { return job_failed_; }
-    const std::string& failureMessage() const { return failure_message_; }
 
     // --- suspend / resume (preemption-by-checkpoint) ------------------
     //
@@ -312,8 +315,6 @@ class Job
                running_count_;
     }
     const Counters& counters() const { return counters_; }
-    sim::SimTime startTime() const { return start_time_; }
-    sim::SimTime endTime() const { return end_time_; }
 
     const JobConfig& config() const { return config_; }
 
@@ -399,6 +400,8 @@ class Job
     /** Round-robin reduce-slot placement (fills reducer_servers_);
      *  shared by placeReducers() and resumeSuspended(). */
     void acquireReducerSlots();
+    /** Returns every reduce slot (parking and failJob). */
+    void releaseReducerSlots();
     void rebuildQueues();
     void scheduleLoop();
     /** Next pending task local to @p server; -1 if none. */
@@ -408,7 +411,6 @@ class Job
     void startAttempt(uint64_t task_id, uint32_t server, bool local);
     void onAttemptFinish(uint64_t task_id, size_t attempt_index);
     void maybeSpeculate();
-    void killRunningTask(uint64_t task_id);
     /** True while the job is under its external map-slot cap. A
      *  suspending/suspended job has no budget at all — it quiesces by
      *  attrition, exactly like a cap lowered to zero. */
@@ -441,26 +443,31 @@ class Job
     /** Timeout expiry for an attempt lost to a server crash: resolve
      *  the orphaned task unless a twin is still alive. */
     void onOrphanDetected(uint64_t task_id, sim::SimTime crashed_at);
+    /**
+     * Ends one live attempt: cancels its event, frees its slot, marks it
+     * done, charges its time as wasted, and traces @p outcome.
+     */
+    void endAttempt(uint64_t task_id, size_t attempt_index,
+                    const char* outcome);
     /** Marks one attempt as crashed and frees its slot. */
     void failAttempt(uint64_t task_id, size_t attempt_index);
     /** Attempt declared dead: fail it, then resolve if no twin remains. */
     void onAttemptFailed(uint64_t task_id, size_t attempt_index);
     /** Retry-vs-absorb decision once every attempt of a task failed. */
     void resolveFailure(uint64_t task_id);
-    /** Absorbs a failed task as an extra dropped cluster. */
-    void absorbFailedTask(uint64_t task_id);
     /** Backoff expiry: puts the task back on the pending queues. */
     void requeueTask(uint64_t task_id);
-    /** Cancels a kAwaitingRetry task (job shutdown path). */
-    void killRetryWaiter(uint64_t task_id);
     /**
-     * Service-mode terminal failure: instead of throwing out of an event
-     * callback (which would tear down the whole shared event queue),
-     * cancels every outstanding task/attempt, returns all held slots, and
-     * notifies the completion handler. @p failing_task has already left
-     * the running count with all its attempts done.
+     * Terminal failure: kills @p failing_task (already out of the running
+     * count with all its attempts done), tears the rest down through
+     * dropAllRemaining(), returns the reduce slots, and notifies the
+     * completion handler. The event queue keeps running — other tenants'
+     * jobs share it — and run() throws JobFailedError once it drains.
      */
     void failJob(uint64_t failing_task, const std::string& message);
+    /** Job-end bookkeeping shared by success and failure: end time,
+     *  pending dcrash events cancelled, trace closed. */
+    void endJob();
     /** Invokes the completion handler once (if installed). */
     void notifyCompletion();
     /** Scheduled whole-server crash from the fault plan. */
@@ -539,8 +546,23 @@ class Job
      *  the delivered-but-uncheckpointed chunks in delivery order. */
     void restartReducer(uint32_t reducer);
 
+    // --- task endings ---
+    /**
+     * The one transition into a terminal state: stamps the finish time,
+     * releases any unconsumed map output, and bumps the terminal count,
+     * the matching maps_* counter and — except for kDropped — the
+     * task's wave. The caller has already taken the task out of its
+     * pending/held/running/retry count.
+     */
+    void finishTask(uint64_t task_id, TaskState state);
+    /**
+     * Force-ends a non-terminal task: pending and held tasks are dropped;
+     * running tasks (every live attempt ended) and retry waiters (backoff
+     * cancelled) are killed. No-op on a terminal task.
+     */
+    void cancelTask(uint64_t task_id);
+
     // --- controller surface (via JobHandle) ---
-    void dropPendingTask(uint64_t task_id);
     uint64_t dropPendingMaps(uint64_t count);
     void dropAllRemaining();
     void holdPendingExcept(uint64_t keep);

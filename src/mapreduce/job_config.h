@@ -32,12 +32,6 @@ struct JobConfig
     /** Reduce task cost model. */
     sim::ReduceCostModel reduce_cost;
 
-    /**
-     * Read-cost multiplier for map tasks that cannot run block-local.
-     * Models shipping the block over the 1 Gb interconnect.
-     */
-    double remote_read_penalty = 1.3;
-
     /** Enables speculative execution of straggler map tasks. */
     bool speculation = true;
 

@@ -496,6 +496,30 @@ TEST(FaultRecoveryTest, RetryModeFailsJobWhenAttemptsExhausted)
     EXPECT_THROW(runPlainJob(config), std::runtime_error);
 }
 
+TEST(FaultRecoveryTest, RetryExhaustionCountersConserveAtAnyThreadCount)
+{
+    // A failed job tears down through the same kill/drop paths as any
+    // other: the counters JobFailedError carries account for every task
+    // and attempt, identically at any thread count.
+    std::vector<std::string> counters;
+    for (uint32_t threads : {1u, 4u}) {
+        AggSpec spec;
+        spec.fault_plan = "crash=1";
+        spec.max_attempts = 2;
+        spec.threads = threads;
+        try {
+            runAggregation(spec);
+            ADD_FAILURE() << "job survived at " << threads << " threads";
+        } catch (const mr::JobFailedError& e) {
+            EXPECT_STREQ(e.what(), "map task 0 failed 2 attempts (max_attempts exhausted)");
+            EXPECT_EQ(e.counters.conservationViolation(1), "");
+            counters.push_back(e.counters.serialize());
+        }
+    }
+    ASSERT_EQ(counters.size(), 2u);
+    EXPECT_EQ(counters[0], counters[1]);
+}
+
 TEST(FaultRecoveryTest, HeadlessAutoAbsorbsWhenRetriesKeepFailing)
 {
     mr::JobConfig config = baseConfig();

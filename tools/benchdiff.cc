@@ -27,6 +27,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/spec.h"
 #include "obs/json.h"
 
 using approxhadoop::obs::JsonValue;
@@ -102,13 +103,13 @@ main(int argc, char** argv)
     const char* cand_path = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-            char* end = nullptr;
-            threshold = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' || threshold < 0.0 ||
-                threshold >= 1.0) {
-                std::fprintf(stderr,
-                             "benchdiff: --threshold wants a fraction in "
-                             "[0, 1)\n");
+            try {
+                threshold = approxhadoop::spec::Real{"a fraction", 0, 1,
+                                                     false, true}
+                                .read(argv[++i]);
+            } catch (const approxhadoop::spec::BadValue& e) {
+                std::fprintf(stderr, "benchdiff: --threshold %s\n",
+                             e.what());
                 return 2;
             }
         } else if (base_path == nullptr) {

@@ -10,6 +10,8 @@
  * Checks:
  *  - the report parses, carries the expected schema tag, and has every
  *    required top-level section;
+ *  - maps_total == completed + killed + dropped + absorbed, on failed
+ *    runs too;
  *  - per-wave plan/outcome rows match the counters' wave count on
  *    successful runs;
  *  - the trace parses, is a Chrome trace-event container, and simulated
@@ -116,12 +118,22 @@ checkReport(const std::string& path, Checker& check)
                   "report: runtime_s is not a number");
     const obs::JsonValue& counters = v.at("counters");
     check.require(counters.isObject(), "report: counters is not an object");
-    for (const char* key : {"maps_total", "maps_completed", "waves",
-                            "items_total", "items_processed"}) {
+    for (const char* key :
+         {"maps_total", "maps_completed", "maps_killed", "maps_dropped",
+          "maps_absorbed", "waves", "items_total", "items_processed"}) {
         check.require(counters.at(key).isNumber(),
                       std::string("report: counters.") + key +
                           " is not a number");
     }
+    // Every map task ends completed, killed, dropped or absorbed — a
+    // failed job's teardown included.
+    check.require(counters.at("maps_total").number ==
+                      counters.at("maps_completed").number +
+                          counters.at("maps_killed").number +
+                          counters.at("maps_dropped").number +
+                          counters.at("maps_absorbed").number,
+                  "report: counters.maps_total != maps_completed + "
+                  "maps_killed + maps_dropped + maps_absorbed");
     // Fleet-elasticity fields (additive in schema /1: absent in reports
     // from older builds, typed + conserved when present).
     for (const char* key : {"servers_added", "servers_revoked",
