@@ -81,7 +81,16 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
         double big_m = static_cast<double>(chunk.items_total);
         double mi = static_cast<double>(chunk.items_processed);
         for (const auto& [key, m] : per_key) {
-            SumAggregate& agg = sums_[std::string(key)];
+            auto it = sums_.lower_bound(key);
+            if (it == sums_.end() || it->first != key) {
+                it = sums_.emplace_hint(it, std::string(key),
+                                        SumAggregate{});
+            }
+            SumAggregate& agg = it->second;
+            if (!agg.dirty) {
+                agg.dirty = true;
+                dirty_.push_back(&*it);
+            }
             ++agg.emitted_clusters;
             agg.records += m.count;
             if (mi <= 0.0) {
@@ -365,24 +374,75 @@ MultiStageSamplingReducer::finalize(mr::ReduceContext& ctx)
     }
 }
 
+namespace {
+
+/** Bytes of the blob header: op, confidence, clusters, sum key count. */
+constexpr size_t kHeaderBytes = 32;
+/** Offsets of the header's two counts. */
+constexpr size_t kClustersOffset = 16;
+constexpr size_t kKeyCountOffset = 24;
+/** Value bytes of one sum/count key record: two u64s, four doubles. */
+constexpr size_t kValueBytes = 48;
+/** The empty cluster-roster and ratio sections that end a sum/count
+ *  blob (two zero counts). */
+constexpr char kEmptyRatioSections[16] = {};
+
+}  // namespace
+
+void
+MultiStageSamplingReducer::refreshImage() const
+{
+    if (image_.empty()) {
+        integrity::BlobWriter w;
+        w.putU64(static_cast<uint64_t>(op_));
+        w.putDouble(confidence_);
+        w.putU64(0);
+        w.putU64(0);
+        image_ = w.release();
+        assert(image_.size() == kHeaderBytes);
+    }
+    for (SumMap::value_type* entry : dirty_) {
+        const std::string& key = entry->first;
+        const SumAggregate& agg = entry->second;
+        if (agg.image_offset == 0) {
+            // First write of this key: append its record.
+            char len[8];
+            integrity::storeU64(len, key.size());
+            image_.append(len, sizeof(len));
+            image_.append(key);
+            agg.image_offset = image_.size();
+            image_.resize(image_.size() + kValueBytes);
+        }
+        char* out = image_.data() + agg.image_offset;
+        integrity::storeU64(out, agg.emitted_clusters);
+        integrity::storeU64(out + 8, agg.records);
+        integrity::storeDouble(out + 16, agg.sum_tau);
+        integrity::storeDouble(out + 24, agg.sum_tau_sq);
+        integrity::storeDouble(out + 32, agg.within);
+        integrity::storeDouble(out + 40, agg.sum_intra_variance);
+        agg.dirty = false;
+    }
+    dirty_.clear();
+    integrity::storeU64(image_.data() + kClustersOffset, clusters_);
+    integrity::storeU64(image_.data() + kKeyCountOffset, sums_.size());
+}
+
 bool
 MultiStageSamplingReducer::checkpoint(std::string& state) const
 {
+    if (op_ == Op::kSum || op_ == Op::kCount) {
+        refreshImage();
+        state.reserve(image_.size() + sizeof(kEmptyRatioSections));
+        state.assign(image_);
+        state.append(kEmptyRatioSections, sizeof(kEmptyRatioSections));
+        return true;
+    }
+
     integrity::BlobWriter w;
     w.putU64(static_cast<uint64_t>(op_));
     w.putDouble(confidence_);
     w.putU64(clusters_);
-
-    w.putU64(sums_.size());
-    for (const auto& [key, agg] : sums_) {
-        w.putString(key);
-        w.putU64(agg.emitted_clusters);
-        w.putU64(agg.records);
-        w.putDouble(agg.sum_tau);
-        w.putDouble(agg.sum_tau_sq);
-        w.putDouble(agg.within);
-        w.putDouble(agg.sum_intra_variance);
-    }
+    w.putU64(0);  // no sum/count records
 
     w.putU64(cluster_sizes_.size());
     for (const auto& [total, processed] : cluster_sizes_) {
@@ -431,19 +491,24 @@ MultiStageSamplingReducer::restore(const std::string& state)
     }
     uint64_t clusters = r.getU64();
 
-    std::map<std::string, SumAggregate> sums;
+    SumMap sums;
     uint64_t num_sums = r.getU64();
     for (uint64_t i = 0; i < num_sums; ++i) {
         std::string key = r.getString();
         SumAggregate agg;
+        agg.image_offset = r.position();
         agg.emitted_clusters = r.getU64();
         agg.records = r.getU64();
         agg.sum_tau = r.getDouble();
         agg.sum_tau_sq = r.getDouble();
         agg.within = r.getDouble();
         agg.sum_intra_variance = r.getDouble();
-        sums.emplace(std::move(key), agg);
+        if (!sums.emplace(std::move(key), agg).second) {
+            throw std::runtime_error(
+                "sampling reducer checkpoint: duplicate key");
+        }
     }
+    size_t records_end = r.position();
 
     std::vector<std::pair<uint64_t, uint64_t>> cluster_sizes;
     uint64_t num_clusters = r.getU64();
@@ -480,6 +545,14 @@ MultiStageSamplingReducer::restore(const std::string& state)
 
     clusters_ = clusters;
     sums_ = std::move(sums);
+    dirty_.clear();
+    if (op_ == Op::kSum || op_ == Op::kCount) {
+        // The snapshot's header and records are the image, in the
+        // order the keys were first seen.
+        image_.assign(state, 0, records_end);
+    } else {
+        image_.clear();
+    }
     cluster_sizes_ = std::move(cluster_sizes);
     ratio_data_ = std::move(ratio_data);
     return true;

@@ -1,7 +1,9 @@
 #ifndef APPROXHADOOP_CORE_SAMPLING_REDUCER_H_
 #define APPROXHADOOP_CORE_SAMPLING_REDUCER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -53,6 +55,11 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
      */
     MultiStageSamplingReducer(Op op, double confidence);
 
+    // dirty_ points into this reducer's own sums_.
+    MultiStageSamplingReducer(const MultiStageSamplingReducer&) = delete;
+    MultiStageSamplingReducer&
+    operator=(const MultiStageSamplingReducer&) = delete;
+
     void consume(const mr::MapOutputChunk& chunk) override;
     void finalize(mr::ReduceContext& ctx) override;
 
@@ -60,6 +67,11 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
      * Serializes the folded estimator state (cluster count, per-key
      * aggregates, cluster roster, ratio samples) with bit-exact doubles:
      * a restored reducer produces bit-identical estimates and CIs.
+     *
+     * For kSum/kCount the blob is a copy of image_, which holds one
+     * record per key in first-seen order; only the keys consumed since
+     * the previous call are re-encoded (patched in place or appended),
+     * so a checkpoint costs O(keys changed) plus one copy.
      */
     bool checkpoint(std::string& state) const override;
     bool restore(const std::string& state) override;
@@ -148,7 +160,13 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
         double sum_tau_sq = 0.0;
         double within = 0.0;
         double sum_intra_variance = 0.0;
+        /** Offset of this key's value bytes in image_; 0 until the key
+         *  is first written there (the header occupies offset 0). */
+        mutable size_t image_offset = 0;
+        /** Consumed since image_ was last refreshed (listed in dirty_). */
+        mutable bool dirty = false;
     };
+    using SumMap = std::map<std::string, SumAggregate, std::less<>>;
 
     /** Computes one key's sum/count estimate from its folded aggregate. */
     KeyEstimate sumEstimate(const std::string& key, const SumAggregate& agg,
@@ -174,7 +192,20 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     uint64_t clusters_ = 0;
 
     // kSum/kCount path: O(1) state per key.
-    std::map<std::string, SumAggregate> sums_;
+    SumMap sums_;
+
+    /** Brings image_ up to date: patches the dirty keys' value bytes,
+     *  appends keys never written, and rewrites the header counts. */
+    void refreshImage() const;
+
+    // kSum/kCount checkpoint image: the blob's header and per-key
+    // records, refreshed lazily by checkpoint(). Records are in
+    // first-seen order, a function of the consume order alone, so a
+    // restored and replayed reducer rebuilds the same bytes as one that
+    // never crashed, and an image only grows at its end.
+    mutable std::string image_;
+    /** Keys consumed since the last refresh, in first-touch order. */
+    mutable std::vector<SumMap::value_type*> dirty_;
 
     // kAverage/kRatio path: per-key per-emitting-cluster samples plus the
     // (M_i, m_i) roster of every consumed cluster so implicit-zero rows

@@ -6,26 +6,40 @@
 namespace approxhadoop::integrity {
 
 void
+storeU64(char* out, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        out[i] = static_cast<char>(v >> (8 * i));
+    }
+}
+
+void
+storeDouble(char* out, double v)
+{
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    storeU64(out, bits);
+}
+
+void
 BlobWriter::putU64(uint64_t v)
 {
     char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-        bytes[i] = static_cast<char>(v >> (8 * i));
-    }
+    storeU64(bytes, v);
     buf_.append(bytes, sizeof(bytes));
 }
 
 void
 BlobWriter::putDouble(double v)
 {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
+    char bytes[8];
+    storeDouble(bytes, v);
+    buf_.append(bytes, sizeof(bytes));
 }
 
 void
-BlobWriter::putString(const std::string& s)
+BlobWriter::putString(std::string_view s)
 {
     putU64(s.size());
     buf_.append(s);

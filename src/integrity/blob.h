@@ -1,10 +1,18 @@
 #ifndef APPROXHADOOP_INTEGRITY_BLOB_H_
 #define APPROXHADOOP_INTEGRITY_BLOB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace approxhadoop::integrity {
+
+/** Writes @p v as BlobWriter::putU64 does, into the 8 bytes at @p out:
+ *  for patching a field of an existing blob in place. */
+void storeU64(char* out, uint64_t v);
+/** Bit-exact double counterpart of storeU64. */
+void storeDouble(char* out, double v);
 
 /**
  * Minimal binary serializer for reducer checkpoints.
@@ -22,7 +30,7 @@ class BlobWriter
     void putU64(uint64_t v);
     /** Bit-exact double encoding. */
     void putDouble(double v);
-    void putString(const std::string& s);
+    void putString(std::string_view s);
     void putBool(bool v) { putU64(v ? 1 : 0); }
 
     const std::string& str() const { return buf_; }
@@ -42,6 +50,8 @@ class BlobReader
 {
   public:
     explicit BlobReader(const std::string& buf) : buf_(buf) {}
+    /** The reader keeps a reference: binding a temporary would dangle. */
+    explicit BlobReader(std::string&&) = delete;
 
     uint64_t getU64();
     double getDouble();
@@ -49,6 +59,8 @@ class BlobReader
     bool getBool() { return getU64() != 0; }
 
     bool atEnd() const { return pos_ == buf_.size(); }
+    /** Bytes consumed so far (the offset of the next field). */
+    size_t position() const { return pos_; }
 
     /** @throws std::runtime_error unless the whole blob was consumed. */
     void expectEnd() const;

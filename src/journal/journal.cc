@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "integrity/blob.h"
 #include "integrity/checksum.h"
@@ -12,7 +15,7 @@ namespace approxhadoop::journal {
 namespace {
 
 /** File magic: 8 bytes, version-bearing. */
-constexpr char kMagic[8] = {'A', 'X', 'H', 'J', 'N', 'L', '1', '\n'};
+constexpr char kMagic[8] = {'A', 'X', 'H', 'J', 'N', 'L', '2', '\n'};
 
 /** Seed for the per-frame XXH64 stamp (distinct from the shuffle-chunk
  *  stamp seed so a chunk blob can never masquerade as a frame). */
@@ -20,6 +23,10 @@ constexpr uint64_t kFrameSeed = 0x4A4E4C31u;
 
 /** RunSpec blob version (first field of the header payload). */
 constexpr uint64_t kSpecVersion = 1;
+
+/** Granularity of a reducer-blob delta: runs cover whole blocks of
+ *  this many bytes (the last block of a blob may be shorter). */
+constexpr size_t kDeltaBlock = 64;
 
 void
 putRawU64(std::string& out, uint64_t v)
@@ -64,6 +71,76 @@ formatDiag(const char* field, double a, double b)
     char buf[160];
     std::snprintf(buf, sizeof(buf), "%s: %.17g vs %.17g", field, a, b);
     return buf;
+}
+
+/**
+ * Writes @p blob as a delta against @p base — [u64 keep][u64 runs]
+ * {[u64 offset][string bytes]}* [string tail], meaning "the first keep
+ * bytes of base, with these runs patched in, then tail" — and advances
+ * @p base to @p blob, rewriting only the bytes that differ. Runs are
+ * maximal sequences of differing kDeltaBlock-byte blocks.
+ */
+void
+putReducerDelta(integrity::BlobWriter& w, std::string& base,
+                const std::string& blob)
+{
+    size_t keep = std::min(base.size(), blob.size());
+    std::vector<std::pair<size_t, size_t>> runs;  // (offset, length)
+    for (size_t at = 0; at < keep; at += kDeltaBlock) {
+        size_t len = std::min(kDeltaBlock, keep - at);
+        if (std::memcmp(base.data() + at, blob.data() + at, len) == 0) {
+            continue;
+        }
+        if (!runs.empty() && runs.back().first + runs.back().second == at) {
+            runs.back().second += len;
+        } else {
+            runs.emplace_back(at, len);
+        }
+    }
+    std::string_view view(blob);
+    w.putU64(keep);
+    w.putU64(runs.size());
+    for (const auto& [offset, len] : runs) {
+        w.putU64(offset);
+        w.putString(view.substr(offset, len));
+        base.replace(offset, len, view.substr(offset, len));
+    }
+    w.putString(view.substr(keep));
+    base.resize(keep);
+    base.append(view.substr(keep));
+}
+
+/** Inverse of putReducerDelta; @p base is null when the journal holds
+ *  no earlier epoch for this reducer. */
+std::string
+getReducerDelta(integrity::BlobReader& r, const std::string* base)
+{
+    uint64_t keep = r.getU64();
+    uint64_t runs = r.getU64();
+    if (base == nullptr && (keep > 0 || runs > 0)) {
+        throw JournalError(
+            "journal: reducer state delta with no base epoch");
+    }
+    if (base != nullptr && keep > base->size()) {
+        throw JournalError("journal: reducer state delta keeps " +
+                           std::to_string(keep) + " bytes of a " +
+                           std::to_string(base->size()) + "-byte base");
+    }
+    std::string blob = base != nullptr ? base->substr(0, keep) : "";
+    for (uint64_t i = 0; i < runs; ++i) {
+        uint64_t offset = r.getU64();
+        std::string bytes = r.getString();
+        if (offset > keep || bytes.size() > keep - offset) {
+            throw JournalError(
+                "journal: reducer state delta run at offset " +
+                std::to_string(offset) + " length " +
+                std::to_string(bytes.size()) + " passes the " +
+                std::to_string(keep) + "-byte blob");
+        }
+        blob.replace(offset, bytes.size(), bytes);
+    }
+    blob += r.getString();
+    return blob;
 }
 
 }  // namespace
@@ -146,8 +223,9 @@ RunSpec::deserialize(const std::string& blob)
     }
 }
 
+
 std::string
-encodeEpoch(const Epoch& epoch)
+encodeEpoch(const Epoch& epoch, ReducerBase& base)
 {
     integrity::BlobWriter w;
     w.putU64(epoch.index);
@@ -166,9 +244,14 @@ encodeEpoch(const Epoch& epoch)
     w.putDouble(epoch.pending_sampling_ratio);
     w.putDouble(epoch.pending_approx_fraction);
     w.putString(epoch.controller_blob);
+    // Resume markers carry no reducer state and are no base: the epoch
+    // after a marker is a delta against the last epoch before it.
+    ReducerBase none;
+    ReducerBase& prev = epoch.kind == Epoch::kResumeMarker ? none : base;
+    prev.resize(epoch.reducer_state.size());
     w.putU64(epoch.reducer_state.size());
-    for (const std::string& s : epoch.reducer_state) {
-        w.putString(s);
+    for (size_t i = 0; i < epoch.reducer_state.size(); ++i) {
+        putReducerDelta(w, prev[i], epoch.reducer_state[i]);
     }
     w.putU64(epoch.reducer_records.size());
     for (uint64_t r : epoch.reducer_records) {
@@ -178,7 +261,7 @@ encodeEpoch(const Epoch& epoch)
 }
 
 Epoch
-decodeEpoch(const std::string& blob)
+decodeEpoch(const std::string& blob, ReducerBase& base)
 {
     try {
         integrity::BlobReader r(blob);
@@ -205,15 +288,21 @@ decodeEpoch(const std::string& blob)
         e.pending_sampling_ratio = r.getDouble();
         e.pending_approx_fraction = r.getDouble();
         e.controller_blob = r.getString();
+        bool marker = e.kind == Epoch::kResumeMarker;
         uint64_t states = r.getU64();
         for (uint64_t i = 0; i < states; ++i) {
-            e.reducer_state.push_back(r.getString());
+            const std::string* prev =
+                !marker && i < base.size() ? &base[i] : nullptr;
+            e.reducer_state.push_back(getReducerDelta(r, prev));
         }
         uint64_t records = r.getU64();
         for (uint64_t i = 0; i < records; ++i) {
             e.reducer_records.push_back(r.getU64());
         }
         r.expectEnd();
+        if (!marker) {
+            base = e.reducer_state;
+        }
         return e;
     } catch (const JournalError&) {
         throw;
@@ -234,6 +323,7 @@ parseJournal(const std::string& bytes)
     LoadedJournal out;
     size_t pos = sizeof(kMagic);
     bool have_header = false;
+    ReducerBase base;
     while (pos < bytes.size()) {
         // A frame needs [u64 len][payload][u64 stamp]; anything shorter
         // at the tail is the torn remains of an interrupted append.
@@ -255,7 +345,7 @@ parseJournal(const std::string& bytes)
             out.spec = RunSpec::deserialize(payload);
             have_header = true;
         } else {
-            Epoch e = decodeEpoch(payload);
+            Epoch e = decodeEpoch(payload, base);
             if (e.kind == Epoch::kResumeMarker) {
                 ++out.resume_markers;
             }
@@ -395,27 +485,6 @@ JobJournal::createInMemory(const RunSpec& spec)
     return j;
 }
 
-namespace {
-
-Epoch
-resumeMarker(const std::vector<Epoch>& sealed, uint32_t resume_count)
-{
-    Epoch marker;
-    marker.kind = Epoch::kResumeMarker;
-    marker.index = resume_count;
-    // Carry the last sealed clock so sim_time stays non-decreasing
-    // across the whole epoch stream (obscheck relies on this).
-    for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-        if (it->kind != Epoch::kResumeMarker) {
-            marker.sim_time = it->sim_time;
-            break;
-        }
-    }
-    return marker;
-}
-
-}  // namespace
-
 void
 JobJournal::adoptLoaded(LoadedJournal loaded, std::string bytes,
                         const std::string* path)
@@ -423,6 +492,21 @@ JobJournal::adoptLoaded(LoadedJournal loaded, std::string bytes,
     spec_ = loaded.spec;
     loaded_ = std::move(loaded.epochs);
     resume_count_ = loaded.resume_markers + 1;
+    Epoch marker;
+    marker.kind = Epoch::kResumeMarker;
+    marker.index = resume_count_;
+    for (auto it = loaded_.rbegin(); it != loaded_.rend(); ++it) {
+        if (it->kind != Epoch::kResumeMarker) {
+            // Carry the last sealed clock so sim_time stays
+            // non-decreasing across the whole epoch stream (obscheck
+            // relies on this). Verified re-executed epochs equal the
+            // sealed ones, so appends continue the delta chain from
+            // the last sealed reducer blobs.
+            marker.sim_time = it->sim_time;
+            base_ = it->reducer_state;
+            break;
+        }
+    }
     // Truncate any torn tail: the sealed prefix is the recovery point.
     image_ = bytes.substr(0, loaded.sealed_bytes);
     if (path != nullptr) {
@@ -435,7 +519,7 @@ JobJournal::adoptLoaded(LoadedJournal loaded, std::string bytes,
             throw JournalError("journal: write error during resume");
         }
     }
-    appendFrame(encodeEpoch(resumeMarker(loaded_, resume_count_)));
+    appendFrame(encodeEpoch(marker, base_));
 }
 
 std::unique_ptr<JobJournal>
@@ -495,7 +579,7 @@ JobJournal::onEpoch(const Epoch& epoch)
         ++cursor_;
         return;
     }
-    appendFrame(encodeEpoch(epoch));
+    appendFrame(encodeEpoch(epoch, base_));
 }
 
 void

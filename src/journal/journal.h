@@ -16,13 +16,25 @@
  *
  * File layout (all integers little-endian):
  *
- *   [8-byte magic "AXHJNL1\n"]
+ *   [8-byte magic "AXHJNL2\n"]
  *   [header frame: RunSpec blob]
  *   [epoch frame]*
  *
  * where every frame is
  *
  *   [u64 payload_len][payload bytes][u64 xxh64(payload)]
+ *
+ * An epoch payload stores each reducer's checkpoint blob as a delta
+ * against the same reducer's blob in the previous non-marker epoch:
+ *
+ *   [u64 keep][u64 runs]{[u64 offset][u64 len][bytes]}*[u64 len][tail]
+ *
+ * i.e. the first `keep` bytes of the previous blob, with the runs of
+ * differing 64-byte blocks patched in, followed by the new tail. The
+ * first epoch has no base (keep 0, no runs: the blob in full), resume
+ * markers carry no reducer state, and a resumed journal continues the
+ * chain from its last sealed epoch. parseJournal() rebuilds the full
+ * blobs, so resume verification compares whole blobs byte for byte.
  *
  * Appends are flushed frame-at-a-time, so a killed driver leaves at
  * worst one partial frame at the tail. parseJournal() discards a torn
@@ -99,10 +111,23 @@ struct RunSpec
     static RunSpec deserialize(const std::string& blob);
 };
 
-/** Epoch <-> blob codec (BlobWriter framing + integrity stamps).
- *  decodeEpoch throws JournalError on malformed input. */
-std::string encodeEpoch(const Epoch& epoch);
-Epoch decodeEpoch(const std::string& blob);
+/**
+ * Full reducer blobs of the last non-marker epoch of a journal, one per
+ * reducer: the base the next epoch's reducer state is delta-encoded
+ * against. Empty before the first epoch, which is therefore written in
+ * full.
+ */
+using ReducerBase = std::vector<std::string>;
+
+/**
+ * Epoch <-> blob codec (BlobWriter framing). Both sides advance @p base
+ * past a non-marker epoch, so a stream of epochs must be encoded and
+ * decoded in order, each side with its own base. decodeEpoch returns
+ * full reducer blobs and throws JournalError on malformed input,
+ * including a delta that its base cannot satisfy.
+ */
+std::string encodeEpoch(const Epoch& epoch, ReducerBase& base);
+Epoch decodeEpoch(const std::string& blob, ReducerBase& base);
 
 /** Result of parsing a journal image. */
 struct LoadedJournal
@@ -185,6 +210,8 @@ class JobJournal : public EpochSink
     /** Sealed epochs awaiting verification (resume mode). */
     std::vector<Epoch> loaded_;
     size_t cursor_ = 0;
+    /** Delta base for the next appended epoch. */
+    ReducerBase base_;
     uint32_t resume_count_ = 0;
     std::string image_;
     std::FILE* file_ = nullptr;

@@ -113,6 +113,14 @@ class Reducer
      * injection is skipped for it. Implementations must round-trip through
      * restore() bit-identically: recovered runs are pinned to match
      * fault-free runs exactly.
+     *
+     * The blob must be a function of the consumed chunks alone, never
+     * of when earlier checkpoints were taken: journal epochs compare a
+     * resumed run's blobs with the crashed run's byte for byte. The
+     * framework calls this every few chunks and at every journal epoch,
+     * which delta-encodes each blob against the previous one, so a
+     * layout that only grows at its end (records in first-seen order,
+     * as MultiStageSamplingReducer writes them) keeps both cheap.
      */
     virtual bool
     checkpoint(std::string& state) const

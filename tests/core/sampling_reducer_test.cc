@@ -1,6 +1,8 @@
 #include "core/sampling_reducer.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -280,6 +282,120 @@ TEST(MultiStageSamplingReducerTest, PlanStatsTopKSelectsWorstKeys)
     for (size_t i = 0; i < 5; ++i) {
         EXPECT_EQ(top[i].key, all[i].key) << i;
         EXPECT_DOUBLE_EQ(top[i].error_bound, all[i].error_bound);
+    }
+}
+
+/**
+ * Twelve chunks over a key space that grows as they arrive: each chunk
+ * revisits some earlier keys and introduces new ones, in an order that
+ * is not sorted, so first-seen order and key order differ.
+ */
+std::vector<mr::MapOutputChunk>
+growingChunks()
+{
+    std::vector<mr::MapOutputChunk> chunks;
+    for (uint64_t c = 0; c < 12; ++c) {
+        std::vector<mr::KeyValue> records;
+        for (uint64_t j = 0; j < 3 + c % 4; ++j) {
+            uint64_t k = (c * 5 + j * 3) % (4 + 2 * c);
+            records.push_back({"k" + std::to_string(20 - k),
+                               0.5 * static_cast<double>(c) +
+                                   static_cast<double>(j),
+                               0, 0, 0});
+        }
+        chunks.push_back(chunk(c, 10 + c, 4 + c % 5, std::move(records)));
+    }
+    return chunks;
+}
+
+std::string
+snapshot(const MultiStageSamplingReducer& r)
+{
+    std::string blob;
+    EXPECT_TRUE(r.checkpoint(blob));
+    return blob;
+}
+
+std::vector<mr::OutputRecord>
+finalOutput(MultiStageSamplingReducer& r)
+{
+    mr::ReduceContext ctx(30, 300);
+    r.finalize(ctx);
+    return ctx.output();
+}
+
+void
+expectOutputsIdentical(const std::vector<mr::OutputRecord>& got,
+                       const std::vector<mr::OutputRecord>& want,
+                       const std::string& label)
+{
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].key, want[i].key) << label;
+        EXPECT_EQ(got[i].value, want[i].value) << label << " " << i;
+        EXPECT_EQ(got[i].lower, want[i].lower) << label << " " << i;
+        EXPECT_EQ(got[i].upper, want[i].upper) << label << " " << i;
+    }
+}
+
+TEST(MultiStageSamplingReducerTest, CheckpointRestoreContinuesBitIdentically)
+{
+    using Op = MultiStageSamplingReducer::Op;
+    const std::vector<mr::MapOutputChunk> chunks = growingChunks();
+    for (Op op : {Op::kSum, Op::kCount, Op::kAverage}) {
+        const std::string op_label =
+            "op " + std::to_string(static_cast<int>(op));
+
+        // The uninterrupted reducer, checkpointed after every chunk...
+        MultiStageSamplingReducer reference(op, 0.95);
+        std::vector<std::string> blobs = {snapshot(reference)};
+        for (const mr::MapOutputChunk& c : chunks) {
+            reference.consume(c);
+            blobs.push_back(snapshot(reference));
+        }
+        const std::vector<mr::OutputRecord> want = finalOutput(reference);
+        // ...writes the same bytes as one checkpointed only at the end:
+        // the blob depends on the consumed chunks, not on when earlier
+        // checkpoints were taken.
+        MultiStageSamplingReducer unchecked(op, 0.95);
+        for (const mr::MapOutputChunk& c : chunks) {
+            unchecked.consume(c);
+        }
+        EXPECT_EQ(snapshot(unchecked), blobs.back()) << op_label;
+
+        for (size_t k : {size_t{0}, size_t{1}, size_t{7}}) {
+            const std::string label = op_label + " at " + std::to_string(k);
+            MultiStageSamplingReducer crashed(op, 0.95);
+            for (size_t i = 0; i < k; ++i) {
+                crashed.consume(chunks[i]);
+            }
+            const std::string snap = snapshot(crashed);
+            EXPECT_EQ(snap, blobs[k]) << label;
+            EXPECT_EQ(snapshot(crashed), snap)
+                << label << ": back-to-back checkpoints differ";
+
+            // Restored into a fresh reducer...
+            MultiStageSamplingReducer fresh(op, 0.95);
+            ASSERT_TRUE(fresh.restore(snap)) << label;
+            // ...and into the same reducer after it consumed (and
+            // checkpointed) more chunks: a reduce crash rolls back to the
+            // last checkpoint and replays the retained chunks.
+            for (size_t i = k; i < k + 3; ++i) {
+                crashed.consume(chunks[i]);
+                snapshot(crashed);
+            }
+            crashed.consume(chunks[k + 3]);
+            ASSERT_TRUE(crashed.restore(snap)) << label;
+
+            for (MultiStageSamplingReducer* r : {&fresh, &crashed}) {
+                for (size_t i = k; i < chunks.size(); ++i) {
+                    r->consume(chunks[i]);
+                    EXPECT_EQ(snapshot(*r), blobs[i + 1])
+                        << label << " after chunk " << i;
+                }
+                expectOutputsIdentical(finalOutput(*r), want, label);
+            }
+        }
     }
 }
 

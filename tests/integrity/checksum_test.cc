@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,14 +84,17 @@ TEST(IntegrityBlobTest, RoundTripsAllFieldTypes)
     EXPECT_NO_THROW(r.expectEnd());
 }
 
+// BlobReader keeps a reference to its buffer, so binding a temporary
+// (a dangling reader) must not compile.
+static_assert(!std::is_constructible_v<BlobReader, std::string&&>);
+
 TEST(IntegrityBlobTest, TruncatedAndTrailingBytesThrow)
 {
     BlobWriter w;
     w.putU64(7);
     std::string blob = w.str();
 
-    // BlobReader keeps a reference, so each buffer is a named string that
-    // outlives its reader.
+    // Each buffer is a named string that outlives its reader.
     const std::string head = blob.substr(0, 3);
     BlobReader truncated(head);
     EXPECT_THROW(truncated.getU64(), std::runtime_error);

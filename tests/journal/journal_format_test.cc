@@ -9,15 +9,21 @@
  *    header) — it never crashes and never invents an epoch;
  *  - corrupting bytes of a sealed frame is detected (checksum stamp),
  *    never silently accepted as different epoch contents;
+ *  - reducer state is delta-encoded against the previous epoch, and a
+ *    delta that overruns its blob or lacks a base is rejected;
  *  - resume verifies the sealed prefix field-by-field and rejects a
  *    divergent re-execution with a named-field diagnostic.
  */
 #include "journal/journal.h"
 
+#include <cinttypes>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "integrity/blob.h"
 
 namespace approxhadoop::journal {
 namespace {
@@ -53,6 +59,38 @@ makeSpec()
     return spec;
 }
 
+/**
+ * Reducer blobs shaped like checkpoint images: a header that changes
+ * every epoch, fixed-width records appended at the end as the state
+ * grows, and every thirteenth record rewritten in place. Reducer 1 is
+ * rolled back (shrinks) at epoch 3, as a restored reducer's image does;
+ * reducer 2 does not support checkpoints.
+ */
+std::vector<std::string>
+reducerState(uint64_t index)
+{
+    std::vector<std::string> state;
+    for (uint64_t r = 0; r < 2; ++r) {
+        char header[32];
+        std::snprintf(header, sizeof(header), "hdr r%" PRIu64 " e%04" PRIu64,
+                      r, index);
+        std::string blob = header;
+        uint64_t records = 20 + 12 * index;
+        if (r == 1 && index == 3) {
+            records = 10;
+        }
+        for (uint64_t k = 0; k < records; ++k) {
+            char rec[32];
+            std::snprintf(rec, sizeof(rec), "|k%03" PRIu64 "=%05" PRIu64, k,
+                          k % 13 == 0 ? index : 0);
+            blob += rec;
+        }
+        state.push_back(blob);
+    }
+    state.emplace_back();
+    return state;
+}
+
 Epoch
 makeEpoch(uint64_t index)
 {
@@ -69,8 +107,8 @@ makeEpoch(uint64_t index)
     e.pending_sampling_ratio = 0.25;
     e.pending_approx_fraction = 0.75;
     e.controller_blob = "ctl-" + std::to_string(index);
-    e.reducer_state = {"r0-" + std::to_string(index), ""};
-    e.reducer_records = {100 + index, 200 + index};
+    e.reducer_state = reducerState(index);
+    e.reducer_records = {100 + index, 200 + index, 0};
     return e;
 }
 
@@ -117,8 +155,13 @@ TEST(JournalFormatTest, EpochRoundTripsEveryField)
     Epoch e = makeEpoch(3);
     e.kind = Epoch::kInterval;
     e.wave = -1;
-    Epoch back = decodeEpoch(encodeEpoch(e));
+    ReducerBase encode_base;
+    ReducerBase decode_base;
+    Epoch back = decodeEpoch(encodeEpoch(e, encode_base), decode_base);
     expectEpochEq(e, back);
+    // Both sides advanced to the epoch's full blobs.
+    EXPECT_EQ(encode_base, e.reducer_state);
+    EXPECT_EQ(decode_base, e.reducer_state);
     EXPECT_EQ(back.kind, Epoch::kInterval);
     EXPECT_EQ(back.index, 3u);
 }
@@ -127,8 +170,82 @@ TEST(JournalFormatTest, MalformedBlobsThrowNotCrash)
 {
     EXPECT_THROW(RunSpec::deserialize(""), JournalError);
     EXPECT_THROW(RunSpec::deserialize("garbage"), JournalError);
-    EXPECT_THROW(decodeEpoch(""), JournalError);
-    EXPECT_THROW(decodeEpoch(std::string(64, 'x')), JournalError);
+    ReducerBase base;
+    EXPECT_THROW(decodeEpoch("", base), JournalError);
+    EXPECT_THROW(decodeEpoch(std::string(64, 'x'), base), JournalError);
+}
+
+/** The payload of an epoch whose one reducer entry is @p entry (raw
+ *  delta bytes: keep, runs, {offset, bytes}*, tail). */
+std::string
+payloadWithReducerEntry(const std::string& entry)
+{
+    Epoch e = makeEpoch(1);
+    e.reducer_state.clear();
+    e.reducer_records.clear();
+    ReducerBase none;
+    std::string payload = encodeEpoch(e, none);
+    payload.resize(payload.size() - 16);  // the two empty counts
+    integrity::BlobWriter count;
+    count.putU64(1);
+    integrity::BlobWriter no_records;
+    no_records.putU64(0);
+    return payload + count.str() + entry + no_records.str();
+}
+
+std::string
+deltaEntry(uint64_t keep, uint64_t offset, const std::string& run,
+           const std::string& tail)
+{
+    integrity::BlobWriter w;
+    w.putU64(keep);
+    w.putU64(1);
+    w.putU64(offset);
+    w.putString(run);
+    w.putString(tail);
+    return w.release();
+}
+
+TEST(JournalFormatTest, DeltaRunsApplyToTheirBase)
+{
+    ReducerBase base = {"0123456789"};
+    Epoch e = decodeEpoch(
+        payloadWithReducerEntry(deltaEntry(10, 6, "abcd", "XY")), base);
+    ASSERT_EQ(e.reducer_state.size(), 1u);
+    EXPECT_EQ(e.reducer_state[0], "012345abcdXY");
+    EXPECT_EQ(base, e.reducer_state);
+
+    // Keeping a prefix shorter than the base truncates it.
+    base = {"0123456789"};
+    e = decodeEpoch(payloadWithReducerEntry(deltaEntry(4, 0, "ab", "")),
+                    base);
+    EXPECT_EQ(e.reducer_state[0], "ab23");
+}
+
+TEST(JournalFormatTest, DeltaPastItsBlobOrWithoutBaseThrows)
+{
+    // Journal bytes are outside input: every bound is checked.
+    const std::string base_blob = "0123456789";
+    auto decode = [&](const std::string& entry) {
+        ReducerBase base = {base_blob};
+        return decodeEpoch(payloadWithReducerEntry(entry), base);
+    };
+    EXPECT_THROW(decode(deltaEntry(10, 8, "abcd", "")), JournalError);
+    EXPECT_THROW(decode(deltaEntry(10, 11, "", "")), JournalError);
+    EXPECT_THROW(decode(deltaEntry(10, UINT64_MAX, "a", "")),
+                 JournalError);
+    EXPECT_THROW(decode(deltaEntry(4, 2, "abc", "tail")), JournalError);
+    EXPECT_THROW(decode(deltaEntry(11, 0, "a", "")), JournalError);
+
+    ReducerBase none;
+    try {
+        decodeEpoch(payloadWithReducerEntry(deltaEntry(4, 0, "ab", "")),
+                    none);
+        FAIL() << "a delta without a base epoch was accepted";
+    } catch (const JournalError& e) {
+        EXPECT_NE(std::string(e.what()).find("no base"), std::string::npos)
+            << e.what();
+    }
 }
 
 /** A three-epoch in-memory journal for the byte-level tests. */
@@ -155,6 +272,74 @@ TEST(JournalFormatTest, RecordedImageParsesBack)
     for (uint64_t i = 0; i < 3; ++i) {
         expectEpochEq(loaded.epochs[i], makeEpoch(i));
     }
+}
+
+TEST(JournalFormatTest, ReducerStateIsDeltaEncodedAgainstThePreviousEpoch)
+{
+    std::string image = recordedImage();
+    size_t full = JobJournal::createInMemory(makeSpec())->bytes().size();
+    for (uint64_t i = 0; i < 3; ++i) {
+        ReducerBase none;
+        full += encodeEpoch(makeEpoch(i), none).size() + 16;
+    }
+    EXPECT_LT(image.size(), full);
+
+    // Without the first epoch the second one's delta has no base: the
+    // frame checksums cannot notice a missing frame, the delta chain
+    // does.
+    std::unique_ptr<JobJournal> jj = JobJournal::createInMemory(makeSpec());
+    size_t header_end = jj->bytes().size();
+    jj->onEpoch(makeEpoch(0));
+    size_t first_end = jj->bytes().size();
+    jj->onEpoch(makeEpoch(1));
+    std::string spliced = jj->bytes().substr(0, header_end) +
+                          jj->bytes().substr(first_end);
+    EXPECT_THROW(parseJournal(spliced), JournalError);
+}
+
+TEST(JournalFormatTest, GrowingReducerStateRoundTripsAcrossResumes)
+{
+    // Record 0-2, resume and append 3-4, resume again and append 5:
+    // every epoch after a resume marker is a delta against the last
+    // epoch before it, and parseJournal rebuilds every full blob.
+    std::unique_ptr<JobJournal> jj =
+        JobJournal::resumeBytes(recordedImage());
+    for (uint64_t i = 0; i < 5; ++i) {
+        jj->onEpoch(makeEpoch(i));
+    }
+    jj = JobJournal::resumeBytes(jj->bytes());
+    EXPECT_EQ(jj->epochsToVerify(), 5u);
+    for (uint64_t i = 0; i < 5; ++i) {
+        jj->onEpoch(makeEpoch(i));
+    }
+    // The first append after a resume is still a delta.
+    size_t before = jj->bytes().size();
+    jj->onEpoch(makeEpoch(5));
+    ReducerBase none;
+    EXPECT_LT(jj->bytes().size() - before,
+              encodeEpoch(makeEpoch(5), none).size());
+
+    LoadedJournal loaded = parseJournal(jj->bytes());
+    EXPECT_EQ(loaded.resume_markers, 2u);
+    ASSERT_EQ(loaded.epochs.size(), 8u);
+    uint64_t next = 0;
+    for (const Epoch& e : loaded.epochs) {
+        if (e.kind == Epoch::kResumeMarker) {
+            EXPECT_TRUE(e.reducer_state.empty());
+            continue;
+        }
+        expectEpochEq(e, makeEpoch(next));
+        ++next;
+    }
+    EXPECT_EQ(next, 6u);
+
+    // A third resume verifies all six against the rebuilt blobs.
+    std::unique_ptr<JobJournal> again = JobJournal::resumeBytes(jj->bytes());
+    EXPECT_EQ(again->resumeCount(), 3u);
+    for (uint64_t i = 0; i < 6; ++i) {
+        again->onEpoch(makeEpoch(i));
+    }
+    EXPECT_EQ(again->epochsToVerify(), 0u);
 }
 
 TEST(JournalFormatTest, TruncationAtEveryByteRecoversOrThrows)
@@ -256,14 +441,36 @@ TEST(JournalFormatTest, DivergentResumeThrowsNamedFieldDiagnostic)
                   std::string::npos)
             << e.what();
     }
+
+    // A one-byte reducer-state change in a delta-encoded epoch is
+    // caught: verification compares the rebuilt full blobs.
+    jj = JobJournal::resumeBytes(recordedImage());
+    jj->onEpoch(makeEpoch(0));
+    jj->onEpoch(makeEpoch(1));
+    diverged = makeEpoch(2);
+    diverged.reducer_state[1][40] ^= 1;
+    try {
+        jj->onEpoch(diverged);
+        FAIL() << "divergent reducer state was accepted";
+    } catch (const JournalError& e) {
+        EXPECT_NE(std::string(e.what()).find("reducer checkpoint state"),
+                  std::string::npos)
+            << "diagnostic does not name the field: " << e.what();
+    }
 }
 
 TEST(JournalFormatTest, ResumeRejectsHeaderlessOrCorruptImages)
 {
     EXPECT_THROW(JobJournal::resumeBytes(""), JournalError);
-    EXPECT_THROW(JobJournal::resumeBytes("AXHJNL1\n"), JournalError);
+    EXPECT_THROW(JobJournal::resumeBytes("AXHJNL2\n"), JournalError);
     EXPECT_THROW(JobJournal::resumeBytes("not a journal at all"),
                  JournalError);
+    // A journal of the previous format (full reducer blobs) is refused
+    // by its magic rather than misread as deltas.
+    std::string v1 = recordedImage();
+    ASSERT_EQ(v1.substr(0, 8), "AXHJNL2\n");
+    v1[6] = '1';
+    EXPECT_THROW(JobJournal::resumeBytes(v1), JournalError);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
  * identical outputs, counters (full serialized image) and simulated
  * runtime. The matrix crosses resume points spread over the job's
  * waves, host thread counts {1, 8}, failure modes {retry, absorb,
- * auto} under task-crash injection, and an elastic fleet (revoke= +
- * addsrv= active), plus double-kill runs.
+ * auto} under task-crash injection, an elastic fleet (revoke= +
+ * addsrv= active), and reduce crashes with corrupt chunks under a
+ * map-interval epoch cadence, plus double-kill runs.
  */
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,8 +46,19 @@ struct Scenario
     const char* cluster = "xeon10";
 };
 
+/** Driver-kill times (simulated seconds) and epoch cadence of a run. */
+struct KillPlan
+{
+    /** Map completions between interval epochs (0 = waves only). */
+    uint64_t map_interval = 0;
+    /** Kill times of the single-kill runs, one resume each. */
+    std::array<double, 4> kills = {1.0, 3.0, 6.0, 12.0};
+    /** Kill times of the double-kill run. */
+    std::array<double, 2> double_kill = {2.0, 7.0};
+};
+
 journal::RunSpec
-specFor(const Scenario& s, const std::string& faults)
+specFor(const Scenario& s, uint64_t map_interval, const std::string& faults)
 {
     journal::RunSpec spec;
     spec.app = "wikilength";
@@ -58,6 +71,7 @@ specFor(const Scenario& s, const std::string& faults)
     spec.sampling = 0.5;
     spec.failure_mode = ft::toString(s.mode);
     spec.fault_plan = faults;
+    spec.map_interval = map_interval;
     return spec;
 }
 
@@ -68,8 +82,8 @@ specFor(const Scenario& s, const std::string& faults)
  * re-reached epoch against the sealed prefix.
  */
 mr::JobResult
-runScenario(const Scenario& s, const std::vector<double>& dcrash,
-            uint32_t* resumes_out = nullptr)
+runScenario(const Scenario& s, uint64_t map_interval,
+            const std::vector<double>& dcrash, uint32_t* resumes_out = nullptr)
 {
     const apps::AggregationWorkload& w =
         *apps::findAggregationWorkload("wikilength");
@@ -84,7 +98,8 @@ runScenario(const Scenario& s, const std::vector<double>& dcrash,
 
     std::unique_ptr<journal::JobJournal> jj;
     if (!dcrash.empty()) {
-        jj = journal::JobJournal::createInMemory(specFor(s, faults));
+        jj = journal::JobJournal::createInMemory(
+            specFor(s, map_interval, faults));
     }
 
     core::ApproxConfig approx;
@@ -103,6 +118,7 @@ runScenario(const Scenario& s, const std::vector<double>& dcrash,
         }
         if (jj != nullptr) {
             config.driver_crash_skip = jj->resumeCount();
+            config.journal_map_interval = map_interval;
         }
         sim::Cluster cluster(sim::ClusterConfig::parse(s.cluster));
         hdfs::NameNode nn(cluster.numServers(), 3, kSeed);
@@ -142,6 +158,53 @@ expectResultsIdentical(const mr::JobResult& resumed,
     }
 }
 
+/** Every single kill of @p plan resumes once and reproduces the
+ *  uninterrupted run. Returns that run for further checks. */
+mr::JobResult
+expectSingleKillsMatch(const Scenario& s, const KillPlan& plan)
+{
+    mr::JobResult baseline = runScenario(s, plan.map_interval, {});
+    for (double at : plan.kills) {
+        uint32_t resumes = 0;
+        mr::JobResult resumed =
+            runScenario(s, plan.map_interval, {at}, &resumes);
+        EXPECT_EQ(resumes, 1u)
+            << s.label << " dcrash=" << at
+            << ": the driver kill never fired (time beyond job end?)";
+        expectResultsIdentical(
+            resumed, baseline,
+            std::string(s.label) + " dcrash=" + std::to_string(at));
+    }
+    return baseline;
+}
+
+/** The double kill of @p plan resumes twice and reproduces the
+ *  uninterrupted run. */
+void
+expectDoubleKillMatches(const Scenario& s, const KillPlan& plan)
+{
+    mr::JobResult baseline = runScenario(s, plan.map_interval, {});
+    uint32_t resumes = 0;
+    mr::JobResult resumed = runScenario(
+        s, plan.map_interval,
+        {plan.double_kill[0], plan.double_kill[1]}, &resumes);
+    EXPECT_EQ(resumes, 2u) << s.label;
+    expectResultsIdentical(resumed, baseline,
+                           std::string(s.label) + " double-kill");
+}
+
+std::string
+paramName(const char* label)
+{
+    std::string name = label;
+    for (char& c : name) {
+        if (c == '-') {
+            c = '_';
+        }
+    }
+    return name;
+}
+
 /** The scenario axis of the matrix. The task-crash probability is high
  *  enough that retries/absorbs actually occur before the kill times. */
 const Scenario kScenarios[] = {
@@ -161,43 +224,67 @@ class JournalResumeTest : public ::testing::TestWithParam<Scenario>
 
 TEST_P(JournalResumeTest, SingleKillMatchesUninterruptedRun)
 {
-    const Scenario& s = GetParam();
-    mr::JobResult baseline = runScenario(s, {});
     // Kill times spread across the job: early (first waves), middle,
     // and late (usually the reduce phase).
-    for (double at : {1.0, 3.0, 6.0, 12.0}) {
-        uint32_t resumes = 0;
-        mr::JobResult resumed = runScenario(s, {at}, &resumes);
-        EXPECT_EQ(resumes, 1u)
-            << s.label << " dcrash=" << at
-            << ": the driver kill never fired (time beyond job end?)";
-        expectResultsIdentical(
-            resumed, baseline,
-            std::string(s.label) + " dcrash=" + std::to_string(at));
-    }
+    expectSingleKillsMatch(GetParam(), KillPlan{});
 }
 
 TEST_P(JournalResumeTest, DoubleKillMatchesUninterruptedRun)
 {
-    const Scenario& s = GetParam();
-    mr::JobResult baseline = runScenario(s, {});
-    uint32_t resumes = 0;
-    mr::JobResult resumed = runScenario(s, {2.0, 7.0}, &resumes);
-    EXPECT_EQ(resumes, 2u) << s.label;
-    expectResultsIdentical(resumed, baseline,
-                           std::string(s.label) + " double-kill");
+    expectDoubleKillMatches(GetParam(), KillPlan{});
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, JournalResumeTest, ::testing::ValuesIn(kScenarios),
     [](const ::testing::TestParamInfo<Scenario>& info) {
-        std::string name = info.param.label;
-        for (char& c : name) {
-            if (c == '-') {
-                c = '_';
-            }
-        }
-        return name;
+        return paramName(info.param.label);
+    });
+
+/** A scenario run under its own kill plan. */
+struct PlannedScenario
+{
+    Scenario scenario;
+    KillPlan plan;
+};
+
+/** Reduce crashes with corrupt chunks under a map-interval cadence. A
+ *  reduce crash restores reducer 1 from its checkpoint image at the
+ *  14th map delivery (t=62.264) while interval epochs snapshot both
+ *  reducers every 4 maps (the next one at t=62.272): the kills land
+ *  before any delivery, between two epochs before the restore, between
+ *  the restore and the next epoch, and after it. */
+const PlannedScenario kRestoreScenarios[] = {
+    {{"absorb-reduce-crash-corrupt-1t", 1, ft::FailureMode::kAbsorb,
+      "corrupt=0.05,rcrash=0.5,seed=3"},
+     {4, {12.0, 61.0, 62.268, 63.0}, {62.268, 63.0}}},
+    {{"absorb-reduce-crash-corrupt-8t", 8, ft::FailureMode::kAbsorb,
+      "corrupt=0.05,rcrash=0.5,seed=3"},
+     {4, {12.0, 61.0, 62.268, 63.0}, {62.268, 63.0}}},
+};
+
+class JournalReduceRestoreResumeTest
+    : public ::testing::TestWithParam<PlannedScenario>
+{
+};
+
+TEST_P(JournalReduceRestoreResumeTest, SingleKillMatchesUninterruptedRun)
+{
+    const PlannedScenario& p = GetParam();
+    mr::JobResult baseline = expectSingleKillsMatch(p.scenario, p.plan);
+    EXPECT_GT(baseline.counters.reduce_attempts_failed, 0u)
+        << p.scenario.label << ": no reducer was ever restored";
+}
+
+TEST_P(JournalReduceRestoreResumeTest, DoubleKillMatchesUninterruptedRun)
+{
+    expectDoubleKillMatches(GetParam().scenario, GetParam().plan);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, JournalReduceRestoreResumeTest,
+    ::testing::ValuesIn(kRestoreScenarios),
+    [](const ::testing::TestParamInfo<PlannedScenario>& info) {
+        return paramName(info.param.scenario.label);
     });
 
 TEST(JournalResumeTest, TargetErrorModeSurvivesKills)
