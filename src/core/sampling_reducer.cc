@@ -126,9 +126,17 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
     }
 }
 
+double
+MultiStageSamplingReducer::criticalT() const
+{
+    return stats::studentTCriticalCached(
+        confidence_, static_cast<double>(clusters_) - 1.0);
+}
+
 std::pair<double, double>
 MultiStageSamplingReducer::sumEstimateNumbers(const SumAggregate& agg,
-                                              uint64_t total_clusters) const
+                                              uint64_t total_clusters,
+                                              double t) const
 {
     uint64_t n = clusters_;
     if (n == 0) {
@@ -149,18 +157,18 @@ MultiStageSamplingReducer::sumEstimateNumbers(const SumAggregate& agg,
     }
     double variance =
         big_n * (big_n - nd) * s2u / nd + (big_n / nd) * agg.within;
-    double t = stats::studentTCriticalCached(confidence_, nd - 1.0);
     return {value, t * std::sqrt(variance)};
 }
 
 KeyEstimate
 MultiStageSamplingReducer::sumEstimate(const std::string& key,
                                        const SumAggregate& agg,
-                                       uint64_t total_clusters) const
+                                       uint64_t total_clusters,
+                                       double t) const
 {
     KeyEstimate est;
     est.key = key;
-    auto [value, bound] = sumEstimateNumbers(agg, total_clusters);
+    auto [value, bound] = sumEstimateNumbers(agg, total_clusters, t);
     est.value = value;
     est.error_bound = bound;
     est.lower = est.value - est.error_bound;
@@ -213,8 +221,9 @@ MultiStageSamplingReducer::currentEstimates(uint64_t total_clusters) const
     std::vector<KeyEstimate> estimates;
     if (op_ == Op::kSum || op_ == Op::kCount) {
         estimates.reserve(sums_.size());
+        double t = criticalT();
         for (const auto& [key, agg] : sums_) {
-            estimates.push_back(sumEstimate(key, agg, total_clusters));
+            estimates.push_back(sumEstimate(key, agg, total_clusters, t));
         }
     } else {
         for (const auto& [key, _] : ratio_data_) {
@@ -238,6 +247,7 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
     }
     double nd = static_cast<double>(n);
     double big_n = static_cast<double>(total_clusters);
+    double t = criticalT();
 
     auto make_stats = [&](const std::string& key,
                           const SumAggregate& agg) {
@@ -250,7 +260,7 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
         stats.mean_intra_variance = agg.sum_intra_variance / nd;
         stats.within_consumed = agg.within;
         stats.error_bound =
-            sumEstimate(key, agg, total_clusters).error_bound;
+            sumEstimateNumbers(agg, total_clusters, t).second;
         return stats;
     };
 
@@ -274,7 +284,7 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
     heap.reserve(top_k + 1);
     for (const auto& entry : sums_) {
         double bound =
-            sumEstimateNumbers(entry.second, total_clusters).second;
+            sumEstimateNumbers(entry.second, total_clusters, t).second;
         if (heap.size() < top_k) {
             heap.emplace_back(bound, &entry);
             std::push_heap(heap.begin(), heap.end(), cmp);
@@ -296,8 +306,9 @@ MultiStageSamplingReducer::worstAbsoluteError(uint64_t total_clusters) const
 {
     WorstError worst;
     if (op_ == Op::kSum || op_ == Op::kCount) {
+        double t = criticalT();
         for (const auto& [key, agg] : sums_) {
-            auto [value, bound] = sumEstimateNumbers(agg, total_clusters);
+            auto [value, bound] = sumEstimateNumbers(agg, total_clusters, t);
             if (value == 0.0) {
                 continue;
             }

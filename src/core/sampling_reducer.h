@@ -168,17 +168,26 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     };
     using SumMap = std::map<std::string, SumAggregate, std::less<>>;
 
-    /** Computes one key's sum/count estimate from its folded aggregate. */
+    /**
+     * Student-t critical value t_{n-1, 1-alpha/2} for the clusters
+     * consumed so far (+inf below 2). Every key of a scan shares it, so
+     * each scan looks it up once, before its key loop.
+     */
+    double criticalT() const;
+
+    /** Computes one key's sum/count estimate from its folded aggregate;
+     *  @p t is criticalT(). */
     KeyEstimate sumEstimate(const std::string& key, const SumAggregate& agg,
-                            uint64_t total_clusters) const;
+                            uint64_t total_clusters, double t) const;
 
     /**
      * String-free core of sumEstimate for the hot scan paths.
+     * @param t criticalT()
      * @return {value, error_bound (may be +inf)}
      */
     std::pair<double, double>
-    sumEstimateNumbers(const SumAggregate& agg,
-                       uint64_t total_clusters) const;
+    sumEstimateNumbers(const SumAggregate& agg, uint64_t total_clusters,
+                       double t) const;
 
     /** Builds the full per-cluster vector (with zero rows) for a key. */
     std::vector<stats::RatioClusterSample>

@@ -126,10 +126,17 @@ TargetErrorController::fitCostModel(const mr::JobHandle& job) const
 }
 
 double
+TargetErrorController::criticalT(uint64_t n) const
+{
+    return stats::studentTCriticalCached(config_.confidence,
+                                         static_cast<double>(n) - 1.0);
+}
+
+double
 TargetErrorController::predictedError(
     uint64_t n_total, uint64_t n2, double m, double mean_items,
     const MultiStageSamplingReducer::KeyPlanStats& key,
-    uint64_t total_clusters, double within_running_factor) const
+    uint64_t total_clusters, double within_running_factor, double t) const
 {
     double n = static_cast<double>(n_total);
     double big_n = static_cast<double>(total_clusters);
@@ -151,7 +158,6 @@ TargetErrorController::predictedError(
     if (variance < 0.0) {
         variance = 0.0;
     }
-    double t = stats::studentTCriticalCached(config_.confidence, n - 1.0);
     return t * std::sqrt(variance);
 }
 
@@ -227,11 +233,12 @@ TargetErrorController::solve(const mr::JobHandle& job,
     // precise for no accuracy gain. Their reported bounds stay honest.
     {
         uint64_t n_full = completed + running + pending;
+        double t = criticalT(n_full);
         std::vector<MultiStageSamplingReducer::KeyPlanStats> satisfiable;
         for (auto& key : keys) {
             double err = predictedError(
                 n_full, pending, static_cast<double>(mean_items_int),
-                mean_items, key, total, within_running_factor);
+                mean_items, key, total, within_running_factor, t);
             if (err <= targetFor(key.tau_hat)) {
                 satisfiable.push_back(std::move(key));
             }
@@ -249,11 +256,12 @@ TargetErrorController::solve(const mr::JobHandle& job,
     auto worstAt = [&](uint64_t n2, double m, double& out_err,
                        double& out_target) {
         uint64_t n_total = completed + running + n2;
+        double t = criticalT(n_total);
         double worst_err = 0.0;
         double worst_tau = 0.0;
         for (const auto& key : keys) {
             double err = predictedError(n_total, n2, m, mean_items, key,
-                                        total, within_running_factor);
+                                        total, within_running_factor, t);
             if (err > worst_err) {
                 worst_err = err;
                 worst_tau = key.tau_hat;
@@ -502,11 +510,12 @@ TargetErrorController::onMapFailure(mr::JobHandle& job,
         return mr::FailureAction::kRetry;
     }
     double within_running_factor = withinRunningFactor(job);
+    double t = criticalT(n_end);
     double worst_err = 0.0;
     double worst_tau = 0.0;
     for (const auto& key : keys) {
         double err = predictedError(n_end, pending, m, mean_items, key,
-                                    total, within_running_factor);
+                                    total, within_running_factor, t);
         if (err > worst_err) {
             worst_err = err;
             worst_tau = key.tau_hat;

@@ -131,6 +131,13 @@ class TargetErrorController : public mr::JobController
     double targetFor(double tau_hat) const;
 
     /**
+     * Student-t critical value t_{n-1, 1-alpha/2} for a plan that ends
+     * with @p n clusters (+inf below 2). It depends on n alone, so each
+     * candidate n evaluates it once for all of its keys.
+     */
+    double criticalT(uint64_t n) const;
+
+    /**
      * Predicted absolute error bound for one key under a candidate plan.
      *
      * @param n_total   clusters that will have been executed
@@ -140,11 +147,13 @@ class TargetErrorController : public mr::JobController
      * @param key       per-key aggregates
      * @param total_clusters N
      * @param within_running predicted within-term factor for running maps
+     * @param t         criticalT(n_total)
      */
     double predictedError(
         uint64_t n_total, uint64_t n2, double m, double mean_items,
         const MultiStageSamplingReducer::KeyPlanStats& key,
-        uint64_t total_clusters, double within_running_factor) const;
+        uint64_t total_clusters, double within_running_factor,
+        double t) const;
 
     /** Within-term factor contributed by currently running maps. */
     double withinRunningFactor(const mr::JobHandle& job) const;

@@ -14,7 +14,7 @@ namespace {
 
 /**
  * Thread-safe ln|Gamma(x)|. glibc's lgamma() writes the sign into the
- * process-global `signgam`, which races when map-side threads evaluate
+ * process-global `signgam`, which races when two threads evaluate
  * t-distribution tails concurrently; lgamma_r() takes the sign slot as
  * a parameter instead. All call sites here have x > 0, so the sign is
  * always +1 and can be discarded either way.
@@ -181,10 +181,11 @@ studentTCriticalCached(double confidence, double df)
                    (std::hash<double>()(k.df) * 1099511628211ULL);
         }
     };
-    // Map-side UDFs run on thread-pool workers (JobConfig::
-    // num_exec_threads), so the cache is shared mutable state: readers
-    // take a shared lock (the steady-state path — every wave hits the
-    // same handful of (confidence, df) pairs), writers an exclusive one.
+    // Process-wide state: today only the driver thread reaches it (the
+    // reducer and the target controller, once per scan or candidate n),
+    // but nothing confines it there, so readers take a shared lock (the
+    // steady state: a job revisits a few (confidence, df) pairs) and
+    // writers an exclusive one.
     static std::shared_mutex cache_mutex;
     static std::unordered_map<Key, double, KeyHash> cache;
     Key key{confidence, df};

@@ -44,11 +44,16 @@ double studentTQuantile(double p, double df);
 double studentTCritical(double confidence, double df);
 
 /**
- * Memoized studentTCritical for the hot path: the incremental reducers
- * recompute the same (confidence, df) critical value once per key per
- * map completion, so this caches by exact (confidence, df) pair. The
- * runtime is single-threaded by design (see sim/event_queue.h), so a
- * plain static cache is safe.
+ * Memoized studentTCritical, keyed by the exact (confidence, df) pair.
+ *
+ * Its callers are core::MultiStageSamplingReducer and
+ * core::TargetErrorController, both on the job's driver thread. Each
+ * looks the value up once per decision, not once per key: the reducer
+ * once per bound scan (its df is the clusters consumed minus one), the
+ * controller once per candidate cluster count. What the memo saves is
+ * the bisection a new df costs, which every map completion and replan
+ * would otherwise repeat. The table is process-wide and guarded by a
+ * reader/writer lock, so calls from any thread are safe.
  */
 double studentTCriticalCached(double confidence, double df);
 

@@ -1,12 +1,18 @@
 #include "core/sampling_reducer.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/zipf.h"
+#include "stats/moments.h"
+#include "stats/student_t.h"
 #include "stats/two_stage.h"
 
 namespace approxhadoop::core {
@@ -255,7 +261,8 @@ TEST(MultiStageSamplingReducerTest, WorstAbsoluteErrorMatchesScan)
     for (const KeyEstimate& est : r.currentEstimates(12)) {
         expected = std::max(expected, est.error_bound);
     }
-    EXPECT_DOUBLE_EQ(worst.error_bound, expected);
+    EXPECT_EQ(std::bit_cast<uint64_t>(worst.error_bound),
+              std::bit_cast<uint64_t>(expected));
 }
 
 TEST(MultiStageSamplingReducerTest, PlanStatsTopKSelectsWorstKeys)
@@ -281,7 +288,110 @@ TEST(MultiStageSamplingReducerTest, PlanStatsTopKSelectsWorstKeys)
     });
     for (size_t i = 0; i < 5; ++i) {
         EXPECT_EQ(top[i].key, all[i].key) << i;
-        EXPECT_DOUBLE_EQ(top[i].error_bound, all[i].error_bound);
+        EXPECT_EQ(std::bit_cast<uint64_t>(top[i].error_bound),
+                  std::bit_cast<uint64_t>(all[i].error_bound));
+    }
+}
+
+// Every sum/count bound, whichever scan produces it, is
+// t_{n-1, 0.975} * sqrt(variance) with t from the uncached
+// studentTCritical at n - 1 degrees of freedom, and +inf below two
+// consumed clusters. The variance is refolded here in the reducer's own
+// order, so the comparison is bit for bit.
+TEST(MultiStageSamplingReducerTest, SumBoundsUseStudentTAtClustersMinusOne)
+{
+    using Op = MultiStageSamplingReducer::Op;
+    constexpr uint64_t kTotalClusters = 40;
+    constexpr uint64_t kKeys = 6;
+    auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    struct Fold
+    {
+        double sum_tau = 0.0;
+        double sum_tau_sq = 0.0;
+        double within = 0.0;
+    };
+    for (Op op : {Op::kSum, Op::kCount}) {
+        for (uint64_t n : {0u, 1u, 2u, 3u, 31u}) {
+            SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)) +
+                         " n " + std::to_string(n));
+            MultiStageSamplingReducer r(op, 0.95);
+            std::map<std::string, Fold> folds;
+            Rng rng(n + 11);
+            for (uint64_t c = 0; c < n; ++c) {
+                uint64_t items_total = 20 + c % 7;
+                uint64_t items_processed = 5 + c % 4;
+                double big_m = static_cast<double>(items_total);
+                double mi = static_cast<double>(items_processed);
+                std::vector<mr::KeyValue> records;
+                for (uint64_t k = 0; k < kKeys; ++k) {
+                    if ((c + k) % 3 == 0) {
+                        continue;  // an implicit-zero cluster for key k
+                    }
+                    double v = op == Op::kCount
+                                   ? 1.0
+                                   : rng.uniform(0.5, 5.0 * (k + 1));
+                    std::string key = "k" + std::to_string(k);
+                    records.push_back({key, v, 0, 0, 0});
+                    Fold& f = folds[key];
+                    double tau = big_m / mi * v;
+                    f.sum_tau += tau;
+                    f.sum_tau_sq += tau * tau;
+                    double s2 = stats::varianceWithImplicitZeros(
+                        items_processed, v, v * v);
+                    f.within += big_m * (big_m - mi) * s2 / mi;
+                }
+                r.consume(chunk(c, items_total, items_processed, records));
+            }
+
+            double nd = static_cast<double>(n);
+            double big_n = static_cast<double>(kTotalClusters);
+            std::map<std::string, double> expected;
+            double expected_worst = 0.0;
+            for (const auto& [key, f] : folds) {
+                double bound = std::numeric_limits<double>::infinity();
+                if (n >= 2) {
+                    double s2u = std::max(
+                        0.0, (f.sum_tau_sq - f.sum_tau * f.sum_tau / nd) /
+                                 (nd - 1.0));
+                    double variance = big_n * (big_n - nd) * s2u / nd +
+                                      (big_n / nd) * f.within;
+                    bound = stats::studentTCritical(0.95, nd - 1.0) *
+                            std::sqrt(variance);
+                    expected_worst = std::max(expected_worst, bound);
+                }
+                expected[key] = bound;
+            }
+
+            std::vector<KeyEstimate> estimates =
+                r.currentEstimates(kTotalClusters);
+            ASSERT_EQ(estimates.size(), expected.size());
+            for (const KeyEstimate& est : estimates) {
+                EXPECT_EQ(bits(est.error_bound), bits(expected.at(est.key)))
+                    << est.key;
+            }
+
+            auto all = r.planStats(kTotalClusters);
+            auto top = r.planStats(kTotalClusters, 2);
+            if (n < 2) {
+                // No plan statistics without a finite bound.
+                EXPECT_TRUE(all.empty());
+                EXPECT_TRUE(top.empty());
+            } else {
+                EXPECT_EQ(all.size(), expected.size());
+                EXPECT_EQ(top.size(), 2u);
+            }
+            for (const auto* scan : {&all, &top}) {
+                for (const auto& s : *scan) {
+                    EXPECT_EQ(bits(s.error_bound), bits(expected.at(s.key)))
+                        << s.key;
+                }
+            }
+
+            auto worst = r.worstAbsoluteError(kTotalClusters);
+            EXPECT_EQ(worst.any_key, n > 0);
+            EXPECT_EQ(worst.all_finite, n != 1);
+            EXPECT_EQ(bits(worst.error_bound), bits(expected_worst));
+        }
     }
 }
 

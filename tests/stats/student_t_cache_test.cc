@@ -1,6 +1,8 @@
 #include "stats/student_t.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <vector>
 
@@ -15,8 +17,9 @@ TEST(StudentTCriticalCachedTest, MatchesUncached)
 {
     for (double confidence : {0.90, 0.95, 0.99}) {
         for (double df : {1.0, 2.0, 9.0, 63.0, 743.0}) {
-            EXPECT_DOUBLE_EQ(studentTCriticalCached(confidence, df),
-                             studentTCritical(confidence, df))
+            EXPECT_EQ(std::bit_cast<uint64_t>(
+                          studentTCriticalCached(confidence, df)),
+                      std::bit_cast<uint64_t>(studentTCritical(confidence, df)))
                 << "confidence=" << confidence << " df=" << df;
         }
     }
@@ -37,11 +40,11 @@ TEST(StudentTCriticalCachedTest, SubUnitDfIsInfinite)
 }
 
 // Regression: the memoization map behind studentTCriticalCached() used
-// to be an unsynchronized static, so map-side UDF threads calling into
-// the estimator raced the driver. Hammer the same and disjoint keys from
-// a pool; under TSan (CI runs this suite with -fsanitize=thread) any
-// reintroduced unguarded access is a hard failure, and every thread must
-// observe the exact single-threaded values.
+// to be an unsynchronized static, so two threads calling it raced.
+// Hammer the same and disjoint keys from a pool; under TSan (CI runs
+// this suite with -fsanitize=thread) any reintroduced unguarded access
+// is a hard failure, and every thread must observe the exact
+// single-threaded values.
 TEST(StudentTCacheConcurrency, PoolHammerMatchesSerialValues)
 {
     constexpr int kThreads = 8;
