@@ -68,11 +68,8 @@ panel(const char* title, const char* prefix,
             sim::Cluster cluster(sim::ClusterConfig::atom60());
             hdfs::NameNode nn(cluster.numServers(), 3, 80);
             core::ApproxJobRunner runner(cluster, *log, nn);
-            // Full execution (no sampling/dropping/overhead). Uses the
-            // sampling reducer so PagePopularity's millions of records
-            // fold into O(keys) memory — the precise GroupingReducer
-            // would buffer every record, which is exactly the
-            // memory-pressure problem the paper reports for this app.
+            // Full execution (no sampling/dropping/overhead) through
+            // the sampling reducer.
             core::ApproxConfig full;
             full.framework_overhead = 0.0;
             precise_runtime =

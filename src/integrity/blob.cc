@@ -6,23 +6,6 @@
 namespace approxhadoop::integrity {
 
 void
-storeU64(char* out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        out[i] = static_cast<char>(v >> (8 * i));
-    }
-}
-
-void
-storeDouble(char* out, double v)
-{
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    storeU64(out, bits);
-}
-
-void
 BlobWriter::putU64(uint64_t v)
 {
     char bytes[8];

@@ -1,8 +1,10 @@
 #ifndef APPROXHADOOP_INTEGRITY_BLOB_H_
 #define APPROXHADOOP_INTEGRITY_BLOB_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -10,9 +12,21 @@ namespace approxhadoop::integrity {
 
 /** Writes @p v as BlobWriter::putU64 does, into the 8 bytes at @p out:
  *  for patching a field of an existing blob in place. */
-void storeU64(char* out, uint64_t v);
+inline void
+storeU64(char* out, uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::big) {
+        v = __builtin_bswap64(v);
+    }
+    std::memcpy(out, &v, sizeof(v));
+}
+
 /** Bit-exact double counterpart of storeU64. */
-void storeDouble(char* out, double v);
+inline void
+storeDouble(char* out, double v)
+{
+    storeU64(out, std::bit_cast<uint64_t>(v));
+}
 
 /**
  * Minimal binary serializer for reducer checkpoints.

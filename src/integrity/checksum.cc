@@ -1,5 +1,6 @@
 #include "integrity/checksum.h"
 
+#include <bit>
 #include <cstring>
 
 namespace approxhadoop::integrity {
@@ -22,9 +23,10 @@ rotl(uint64_t v, int bits)
 inline uint64_t
 readLE64(const unsigned char* p)
 {
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-        v = (v << 8) | p[i];
+    uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    if constexpr (std::endian::native == std::endian::big) {
+        v = __builtin_bswap64(v);
     }
     return v;
 }

@@ -1,7 +1,9 @@
 #include "integrity/chunk_integrity.h"
 
 #include <cstring>
+#include <string>
 
+#include "integrity/blob.h"
 #include "integrity/checksum.h"
 
 namespace approxhadoop::integrity {
@@ -22,12 +24,22 @@ chunkChecksum(const mr::MapOutputChunk& chunk)
     h.update(chunk.items_processed);
     h.update(chunk.records_skipped);
     h.update(static_cast<uint64_t>(chunk.records.size()));
+    // One update per record, over exactly the bytes the field-by-field
+    // Hasher64 calls would feed: the LE key length, the key bytes, then
+    // the four values' LE bit patterns.
+    std::string buf;
     for (const mr::KeyValue& kv : chunk.records) {
-        h.update(kv.key);
-        h.update(kv.value);
-        h.update(kv.value2);
-        h.update(kv.value3);
-        h.update(kv.value4);
+        size_t key_len = kv.key.size();
+        buf.resize(8 + key_len + 32);
+        char* p = buf.data();
+        storeU64(p, key_len);
+        std::memcpy(p + 8, kv.key.data(), key_len);
+        p += 8 + key_len;
+        storeDouble(p, kv.value);
+        storeDouble(p + 8, kv.value2);
+        storeDouble(p + 16, kv.value3);
+        storeDouble(p + 24, kv.value4);
+        h.update(buf.data(), buf.size());
     }
     return h.digest();
 }

@@ -14,8 +14,11 @@ namespace approxhadoop::journal {
 
 namespace {
 
-/** File magic: 8 bytes, version-bearing. */
-constexpr char kMagic[8] = {'A', 'X', 'H', 'J', 'N', 'L', '2', '\n'};
+/** File magic: 8 bytes, version-bearing. Version 3: precise reducers
+ *  checkpoint per-key accumulators instead of every buffered record. */
+constexpr char kMagic[8] = {'A', 'X', 'H', 'J', 'N', 'L', '3', '\n'};
+/** Bytes of the magic before its version character. */
+constexpr size_t kMagicStem = 6;
 
 /** Seed for the per-frame XXH64 stamp (distinct from the shuffle-chunk
  *  stamp seed so a chunk blob can never masquerade as a frame). */
@@ -316,8 +319,14 @@ LoadedJournal
 parseJournal(const std::string& bytes)
 {
     if (bytes.size() < sizeof(kMagic) ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+        std::memcmp(bytes.data(), kMagic, kMagicStem) != 0) {
         throw JournalError("journal: bad magic (not a journal file)");
+    }
+    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+        throw JournalError("journal: unsupported format version " +
+                           bytes.substr(0, kMagicStem + 1) +
+                           " (this build reads " +
+                           std::string(kMagic, kMagicStem + 1) + ")");
     }
 
     LoadedJournal out;

@@ -16,7 +16,7 @@
  *
  * File layout (all integers little-endian):
  *
- *   [8-byte magic "AXHJNL2\n"]
+ *   [8-byte magic "AXHJNL3\n"]
  *   [header frame: RunSpec blob]
  *   [epoch frame]*
  *

@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "integrity/checksum.h"
 #include "integrity/chunk_integrity.h"
+#include "mapreduce/key_interner.h"
 #include "obs/observability.h"
 
 namespace approxhadoop::mr {
@@ -1588,18 +1589,20 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
     mapper->cleanup(ctx);
 
     std::vector<KeyValue> output = std::move(ctx.output());
-    KeyInterner& interner = ctx.interner();
-    std::vector<uint32_t> key_ids = ctx.keyIds();
-    if (key_ids.size() != output.size()) {
-        // A mapper pushed records through output() directly instead of
-        // write()/emit(); rebuild the id stream from the key strings.
+    // Keys are interned only where their ids are read: by the combiner's
+    // grouping and by partitioning across several reducers. A precise
+    // single-reducer job ships the output without hashing a key.
+    KeyInterner interner;
+    std::vector<uint32_t> key_ids;
+    auto internOutput = [&] {
         key_ids.clear();
         key_ids.reserve(output.size());
         for (const KeyValue& kv : output) {
             key_ids.push_back(interner.intern(kv.key));
         }
-    }
+    };
     if (combiner_ != nullptr && !output.empty()) {
+        internOutput();
         // Map-side combine on interned ids: a stable counting sort
         // gathers each key's records contiguously (emission order
         // preserved), then keys are folded in sorted-key order — the
@@ -1641,12 +1644,6 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
                                     counts[id], combined);
         }
         output = std::move(combined);
-        // Combiners may emit arbitrary keys; re-derive the id stream.
-        key_ids.clear();
-        key_ids.reserve(output.size());
-        for (const KeyValue& kv : output) {
-            key_ids.push_back(interner.intern(kv.key));
-        }
     }
     std::vector<MapOutputChunk> chunks(config_.num_reducers);
     for (uint32_t r = 0; r < config_.num_reducers; ++r) {
@@ -1662,7 +1659,9 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
     } else if (!output.empty()) {
         // Partition once per distinct key (ids are dense), then build
         // each chunk with an exact reserve so record memory is one
-        // allocation per chunk.
+        // allocation per chunk. Combiners may emit arbitrary keys, so
+        // the id stream is derived from the final output.
+        internOutput();
         constexpr uint32_t kNoPart = 0xFFFFFFFFu;
         std::vector<uint32_t> part_of_id(interner.size(), kNoPart);
         std::vector<size_t> sizes(config_.num_reducers, 0);

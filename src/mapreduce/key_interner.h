@@ -9,18 +9,19 @@
 namespace approxhadoop::mr {
 
 /**
- * Per-task intermediate-key interning table.
+ * Intermediate-key interning table.
  *
  * Maps each distinct key string to a dense id (0, 1, 2, ... in first-seen
- * order) through an open-addressing hash table, so the hot map-side path
- * — grouping for the combiner, partition lookup, per-key accounting —
- * works on integer ids instead of re-hashing and re-comparing
- * std::strings per record. Ids are stable for the table's lifetime; the
- * interned key strings are owned by the table.
+ * order) through an open-addressing hash table, so hot per-record paths
+ * — map-side grouping for the combiner, partition lookup, the precise
+ * reducers' per-key accumulators — work on integer ids instead of
+ * re-hashing and re-comparing std::strings per record. Ids are stable
+ * for the table's lifetime; the interned key strings are owned by the
+ * table.
  *
  * Uses the same FNV-1a hash as HashPartitioner so behavior is platform-
  * stable, with linear probing and growth at 70% load. Not thread-safe;
- * one instance lives inside each MapContext (one per map task).
+ * each map task's output stage and each FoldReducer owns its own.
  */
 class KeyInterner
 {

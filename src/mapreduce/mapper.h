@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "mapreduce/key_interner.h"
 #include "mapreduce/types.h"
 
 namespace approxhadoop::mr {
@@ -19,11 +18,6 @@ namespace approxhadoop::mr {
  * metadata the approximation layer piggybacks on the shuffle: the task
  * id (cluster id for multi-stage sampling), block item counts, and
  * whether the task is running its user-defined approximate variant.
- *
- * Every emitted key is also interned into a per-task KeyInterner, and
- * keyIds() carries one id per emitted record. The framework's combine
- * and partition stages run on those dense ids instead of re-hashing key
- * strings per record (see Job::computeMapOutput).
  */
 class MapContext
 {
@@ -48,7 +42,6 @@ class MapContext
     void
     write(std::string_view key, double value)
     {
-        key_ids_.push_back(interner_.intern(key));
         output_.push_back(KeyValue{std::string(key), value, 0.0});
     }
 
@@ -56,17 +49,11 @@ class MapContext
     void
     write(std::string_view key, double value, double value2)
     {
-        key_ids_.push_back(interner_.intern(key));
         output_.push_back(KeyValue{std::string(key), value, value2});
     }
 
     /** Emits a pre-built record (e.g. a three-stage unit record). */
-    void
-    emit(KeyValue kv)
-    {
-        key_ids_.push_back(interner_.intern(kv.key));
-        output_.push_back(std::move(kv));
-    }
+    void emit(KeyValue kv) { output_.push_back(std::move(kv)); }
 
     uint64_t taskId() const { return task_id_; }
     uint64_t itemsTotal() const { return items_total_; }
@@ -81,21 +68,13 @@ class MapContext
     /** Emitted records; consumed by the framework after the task runs. */
     std::vector<KeyValue>& output() { return output_; }
 
-    /** Interned key id per emitted record (parallel to output()). */
-    const std::vector<uint32_t>& keyIds() const { return key_ids_; }
-
-    /** The task's key-interning table. */
-    KeyInterner& interner() { return interner_; }
-
   private:
     uint64_t task_id_;
     uint64_t items_total_;
     uint64_t items_processed_;
     bool approximate_;
     Rng rng_;
-    KeyInterner interner_;
     std::vector<KeyValue> output_;
-    std::vector<uint32_t> key_ids_;
 };
 
 /**

@@ -1,132 +1,97 @@
 #include "mapreduce/reducer.h"
 
 #include <algorithm>
+#include <numeric>
+#include <stdexcept>
 
 #include "integrity/blob.h"
 
 namespace approxhadoop::mr {
 
 void
-GroupingReducer::consume(const MapOutputChunk& chunk)
+FoldReducer::consume(const MapOutputChunk& chunk)
 {
+    const bool extreme = fold_ == Fold::kMin || fold_ == Fold::kMax;
     for (const KeyValue& kv : chunk.records) {
-        groups_[kv.key].push_back(kv);
+        uint32_t id = keys_.intern(kv.key);
+        if (id == acc_.size()) {
+            // A key's first record: min/max start from its value, sums
+            // from 0.0.
+            acc_.push_back(Accumulator{extreme ? kv.value : 0.0, 0});
+        }
+        Accumulator& a = acc_[id];
+        switch (fold_) {
+        case Fold::kSum:
+        case Fold::kAverage:
+            a.value += kv.value;
+            break;
+        case Fold::kMin:
+            a.value = std::min(a.value, kv.value);
+            break;
+        case Fold::kMax:
+            a.value = std::max(a.value, kv.value);
+            break;
+        case Fold::kCount:
+            break;
+        }
+        ++a.n;
     }
 }
 
 void
-GroupingReducer::finalize(ReduceContext& ctx)
+FoldReducer::finalize(ReduceContext& ctx)
 {
-    for (const auto& [key, values] : groups_) {
-        reduce(key, values, ctx);
+    std::vector<uint32_t> order(acc_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+        return keys_.key(a) < keys_.key(b);
+    });
+    for (uint32_t id : order) {
+        const Accumulator& a = acc_[id];
+        double value = a.value;
+        if (fold_ == Fold::kCount) {
+            value = static_cast<double>(a.n);
+        } else if (fold_ == Fold::kAverage) {
+            value = a.value / static_cast<double>(a.n);
+        }
+        ctx.write(keys_.key(id), value);
     }
 }
 
 bool
-GroupingReducer::checkpoint(std::string& state) const
+FoldReducer::checkpoint(std::string& state) const
 {
     integrity::BlobWriter w;
-    w.putU64(groups_.size());
-    for (const auto& [key, values] : groups_) {
-        w.putString(key);
-        w.putU64(values.size());
-        for (const KeyValue& kv : values) {
-            w.putString(kv.key);
-            w.putDouble(kv.value);
-            w.putDouble(kv.value2);
-            w.putDouble(kv.value3);
-            w.putDouble(kv.value4);
-        }
+    w.putU64(acc_.size());
+    for (uint32_t id = 0; id < acc_.size(); ++id) {
+        w.putString(keys_.key(id));
+        w.putDouble(acc_[id].value);
+        w.putU64(acc_[id].n);
     }
     state = w.release();
     return true;
 }
 
 bool
-GroupingReducer::restore(const std::string& state)
+FoldReducer::restore(const std::string& state)
 {
     integrity::BlobReader r(state);
-    std::map<std::string, std::vector<KeyValue>> groups;
-    uint64_t num_groups = r.getU64();
-    for (uint64_t g = 0; g < num_groups; ++g) {
-        std::string key = r.getString();
-        uint64_t count = r.getU64();
-        std::vector<KeyValue>& values = groups[key];
-        values.reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-            KeyValue kv;
-            kv.key = r.getString();
-            kv.value = r.getDouble();
-            kv.value2 = r.getDouble();
-            kv.value3 = r.getDouble();
-            kv.value4 = r.getDouble();
-            values.push_back(std::move(kv));
+    KeyInterner keys;
+    std::vector<Accumulator> acc;
+    uint64_t num_keys = r.getU64();
+    for (uint64_t i = 0; i < num_keys; ++i) {
+        if (keys.intern(r.getString()) != acc.size()) {
+            throw std::runtime_error("fold reducer: duplicate checkpoint key");
         }
+        Accumulator a;
+        a.value = r.getDouble();
+        a.n = r.getU64();
+        acc.push_back(a);
     }
     r.expectEnd();
-    groups_ = std::move(groups);
+    keys_ = std::move(keys);
+    acc_ = std::move(acc);
     return true;
-}
-
-void
-SumReducer::reduce(const std::string& key,
-                   const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    double sum = 0.0;
-    for (const KeyValue& kv : values) {
-        sum += kv.value;
-    }
-    ctx.write(key, sum);
-}
-
-void
-CountReducer::reduce(const std::string& key,
-                     const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    ctx.write(key, static_cast<double>(values.size()));
-}
-
-void
-AverageReducer::reduce(const std::string& key,
-                       const std::vector<KeyValue>& values,
-                       ReduceContext& ctx)
-{
-    if (values.empty()) {
-        return;
-    }
-    double sum = 0.0;
-    for (const KeyValue& kv : values) {
-        sum += kv.value;
-    }
-    ctx.write(key, sum / static_cast<double>(values.size()));
-}
-
-void
-MinReducer::reduce(const std::string& key,
-                   const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    if (values.empty()) {
-        return;
-    }
-    double best = values.front().value;
-    for (const KeyValue& kv : values) {
-        best = std::min(best, kv.value);
-    }
-    ctx.write(key, best);
-}
-
-void
-MaxReducer::reduce(const std::string& key,
-                   const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    if (values.empty()) {
-        return;
-    }
-    double best = values.front().value;
-    for (const KeyValue& kv : values) {
-        best = std::max(best, kv.value);
-    }
-    ctx.write(key, best);
 }
 
 }  // namespace approxhadoop::mr

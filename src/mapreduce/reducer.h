@@ -2,10 +2,10 @@
 #define APPROXHADOOP_MAPREDUCE_REDUCER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "mapreduce/key_interner.h"
 #include "mapreduce/types.h"
 
 namespace approxhadoop::mr {
@@ -144,75 +144,79 @@ class Reducer
 };
 
 /**
- * Convenience base class providing the classic Hadoop reduce(key, values)
- * interface on top of the incremental one: chunks are buffered, grouped
- * by key, and reduce() is called per key at finalize time.
+ * Precise per-key fold: the classic Hadoop reduce(key, values) for the
+ * five built-in operations, computed without buffering any record.
+ *
+ * Each key gets a reducer-local id (first-seen order) and one
+ * accumulator {value, n}; consume() folds every record into its key's
+ * accumulator in delivery order, and finalize() sorts the ids once by
+ * key string. The result is bit-identical to buffering each key's
+ * records and reducing them at finalize: a sum adds from 0.0 in the
+ * same order, min/max start from the first value and apply std::min /
+ * std::max in the same order, an average is that sum over the count,
+ * and the output follows std::string ordering.
  */
-class GroupingReducer : public Reducer
+class FoldReducer : public Reducer
 {
   public:
+    enum class Fold { kSum, kCount, kAverage, kMin, kMax };
+
+    explicit FoldReducer(Fold fold) : fold_(fold) {}
+
     void consume(const MapOutputChunk& chunk) override;
     void finalize(ReduceContext& ctx) override;
 
-    /** Serializes the key → buffered-records map (the default
-     *  checkpoint format promised by the Reducer interface). */
+    /** Writes a key count, then `key, value bits, n` per key in
+     *  first-seen order: O(keys), and it only grows at its end. */
     bool checkpoint(std::string& state) const override;
     bool restore(const std::string& state) override;
 
-    /** Classic per-key reduction over all buffered records. */
-    virtual void reduce(const std::string& key,
-                        const std::vector<KeyValue>& values,
-                        ReduceContext& ctx) = 0;
-
-  protected:
-    const std::map<std::string, std::vector<KeyValue>>&
-    groups() const
-    {
-        return groups_;
-    }
-
   private:
-    std::map<std::string, std::vector<KeyValue>> groups_;
+    struct Accumulator
+    {
+        double value = 0.0;
+        uint64_t n = 0;
+    };
+
+    Fold fold_;
+    KeyInterner keys_;
+    /** Indexed by key id. */
+    std::vector<Accumulator> acc_;
 };
 
 /** Precise sum-per-key reducer (Hadoop's LongSumReducer analogue). */
-class SumReducer : public GroupingReducer
+class SumReducer : public FoldReducer
 {
   public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
+    SumReducer() : FoldReducer(Fold::kSum) {}
 };
 
 /** Precise record-count-per-key reducer. */
-class CountReducer : public GroupingReducer
+class CountReducer : public FoldReducer
 {
   public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
+    CountReducer() : FoldReducer(Fold::kCount) {}
 };
 
 /** Precise mean-of-values-per-key reducer. */
-class AverageReducer : public GroupingReducer
+class AverageReducer : public FoldReducer
 {
   public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
+    AverageReducer() : FoldReducer(Fold::kAverage) {}
 };
 
 /** Precise minimum-per-key reducer. */
-class MinReducer : public GroupingReducer
+class MinReducer : public FoldReducer
 {
   public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
+    MinReducer() : FoldReducer(Fold::kMin) {}
 };
 
 /** Precise maximum-per-key reducer. */
-class MaxReducer : public GroupingReducer
+class MaxReducer : public FoldReducer
 {
   public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
+    MaxReducer() : FoldReducer(Fold::kMax) {}
 };
 
 }  // namespace approxhadoop::mr

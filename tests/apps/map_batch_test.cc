@@ -8,10 +8,12 @@
  * replay in the chaos oracle — any divergence here is a determinism
  * bug, not a perf tradeoff.
  */
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +21,14 @@
 #include "apps/aggregation_registry.h"
 #include "common/random.h"
 #include "hdfs/dataset.h"
+#include "hdfs/namenode.h"
+#include "mapreduce/combiner.h"
+#include "mapreduce/job.h"
 #include "mapreduce/mapper.h"
+#include "mapreduce/partitioner.h"
+#include "mapreduce/reducer.h"
 #include "mapreduce/types.h"
+#include "sim/cluster.h"
 
 namespace approxhadoop {
 namespace {
@@ -49,6 +57,60 @@ freshContext(uint64_t task_id)
 {
     return mr::MapContext(task_id, kItems, kItems, false,
                           Rng(kSeed).derive(0xA11CE + task_id));
+}
+
+constexpr uint32_t kReducers = 3;
+
+/** Delivered chunk records by (map task, partition). */
+using DeliveredChunks =
+    std::map<std::pair<uint64_t, uint32_t>, std::vector<mr::KeyValue>>;
+
+/** Keeps every chunk delivered to its partition. */
+class RecordingReducer : public mr::Reducer
+{
+  public:
+    RecordingReducer(uint32_t partition, DeliveredChunks* sink)
+        : partition_(partition), sink_(sink)
+    {
+    }
+
+    void
+    consume(const mr::MapOutputChunk& chunk) override
+    {
+        (*sink_)[{chunk.map_task, partition_}] = chunk.records;
+    }
+
+    void finalize(mr::ReduceContext& /*ctx*/) override {}
+
+  private:
+    uint32_t partition_;
+    DeliveredChunks* sink_;
+};
+
+/** Runs @p w's mapper as a precise kReducers-partition job over @p data
+ *  and returns the chunks each partition received. */
+DeliveredChunks
+deliveredChunks(const apps::AggregationWorkload& w,
+                const hdfs::BlockDataset& data, bool combine)
+{
+    DeliveredChunks delivered;
+    sim::Cluster cluster(sim::ClusterConfig::xeon10());
+    hdfs::NameNode nn(cluster.numServers(), 3, kSeed);
+    mr::JobConfig config = w.job_config(kItems, kReducers);
+    config.seed = kSeed;
+    mr::Job job(cluster, data, nn, config);
+    job.setMapperFactory(w.mapper_factory());
+    // The job creates its reducers in partition order.
+    uint32_t next_partition = 0;
+    job.setReducerFactory([&] {
+        return std::make_unique<RecordingReducer>(next_partition++,
+                                                  &delivered);
+    });
+    if (combine) {
+        job.setCombiner(std::make_shared<mr::SumCombiner>());
+    }
+    job.run();
+    return delivered;
 }
 
 TEST_P(MapBatchEquivalence, BatchedOutputMatchesRecordAtATime)
@@ -98,13 +160,62 @@ TEST_P(MapBatchEquivalence, BatchedOutputMatchesRecordAtATime)
             EXPECT_EQ(ref[i].value4, batch[i].value4)
                 << "block " << block << " record " << i;
         }
+    }
 
-        // keyIds() must stay parallel to output() and decode back to the
-        // emitted key — the combine/partition stages run on these ids.
-        ASSERT_EQ(batch_ctx.keyIds().size(), batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-            EXPECT_EQ(batch_ctx.interner().key(batch_ctx.keyIds()[i]),
-                      batch[i].key);
+    // Through a job: the combine and partition stages, which group and
+    // route records by interned key ids, must put every record in
+    // HashPartitioner's partition for its key string, in emission order
+    // (combined records in key order, as SumCombiner folds them).
+    for (bool combine : {false, true}) {
+        SCOPED_TRACE(combine ? "with SumCombiner" : "without combiner");
+        DeliveredChunks delivered = deliveredChunks(*w, *data, combine);
+        ASSERT_EQ(delivered.size(), kBlocks * kReducers);
+        mr::HashPartitioner partitioner;
+        for (uint64_t block = 0; block < kBlocks; ++block) {
+            // The job maps whole blocks, whose sizes may differ.
+            uint64_t items = data->itemsInBlock(block);
+            auto mapper = w->mapper_factory()();
+            mr::MapContext ctx(block, items, items, false,
+                               Rng(kSeed).derive(0xA11CE + block));
+            mapper->setup(ctx);
+            for (uint64_t i = 0; i < items; ++i) {
+                mapper->map(data->item(block, i), ctx);
+            }
+            mapper->cleanup(ctx);
+            std::vector<mr::KeyValue> shuffled = std::move(ctx.output());
+            if (combine) {
+                std::map<std::string, double> sums;
+                for (const mr::KeyValue& kv : shuffled) {
+                    sums[kv.key] += kv.value;
+                }
+                shuffled.clear();
+                for (const auto& [key, sum] : sums) {
+                    shuffled.push_back(mr::KeyValue{key, sum, 0.0, 0.0, 0.0});
+                }
+            }
+            std::vector<std::vector<mr::KeyValue>> expected(kReducers);
+            for (const mr::KeyValue& kv : shuffled) {
+                expected[partitioner.partition(kv.key, kReducers)]
+                    .push_back(kv);
+            }
+            for (uint32_t r = 0; r < kReducers; ++r) {
+                const std::vector<mr::KeyValue>& got =
+                    delivered[{block, r}];
+                ASSERT_EQ(got.size(), expected[r].size())
+                    << "block " << block << " partition " << r;
+                for (size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].key, expected[r][i].key)
+                        << "block " << block << " partition " << r;
+                    EXPECT_EQ(got[i].value, expected[r][i].value)
+                        << "block " << block << " partition " << r;
+                    EXPECT_EQ(got[i].value2, expected[r][i].value2)
+                        << "block " << block << " partition " << r;
+                    EXPECT_EQ(got[i].value3, expected[r][i].value3)
+                        << "block " << block << " partition " << r;
+                    EXPECT_EQ(got[i].value4, expected[r][i].value4)
+                        << "block " << block << " partition " << r;
+                }
+            }
         }
     }
 }

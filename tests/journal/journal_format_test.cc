@@ -462,15 +462,28 @@ TEST(JournalFormatTest, DivergentResumeThrowsNamedFieldDiagnostic)
 TEST(JournalFormatTest, ResumeRejectsHeaderlessOrCorruptImages)
 {
     EXPECT_THROW(JobJournal::resumeBytes(""), JournalError);
-    EXPECT_THROW(JobJournal::resumeBytes("AXHJNL2\n"), JournalError);
+    EXPECT_THROW(JobJournal::resumeBytes("AXHJNL3\n"), JournalError);
     EXPECT_THROW(JobJournal::resumeBytes("not a journal at all"),
                  JournalError);
-    // A journal of the previous format (full reducer blobs) is refused
-    // by its magic rather than misread as deltas.
-    std::string v1 = recordedImage();
-    ASSERT_EQ(v1.substr(0, 8), "AXHJNL2\n");
-    v1[6] = '1';
-    EXPECT_THROW(JobJournal::resumeBytes(v1), JournalError);
+    // Journals of earlier formats (full reducer blobs; precise reducers
+    // buffering every record) are refused by their magic rather than
+    // misread, with an error naming the version.
+    std::string current = recordedImage();
+    ASSERT_EQ(current.substr(0, 8), "AXHJNL3\n");
+    for (char version : {'1', '2'}) {
+        std::string old = current;
+        old[6] = version;
+        try {
+            JobJournal::resumeBytes(old);
+            FAIL() << "AXHJNL" << version << " image was accepted";
+        } catch (const JournalError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("unsupported format version AXHJNL") +
+                          version),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
  * runtime. The matrix crosses resume points spread over the job's
  * waves, host thread counts {1, 8}, failure modes {retry, absorb,
  * auto} under task-crash injection, an elastic fleet (revoke= +
- * addsrv= active), and reduce crashes with corrupt chunks under a
- * map-interval epoch cadence, plus double-kill runs.
+ * addsrv= active), and reduce crashes (with corrupt chunks, and in a
+ * precise job) under a map-interval epoch cadence, plus double-kill
+ * runs.
  */
 #include <array>
 #include <memory>
@@ -46,7 +47,8 @@ struct Scenario
     const char* cluster = "xeon10";
 };
 
-/** Driver-kill times (simulated seconds) and epoch cadence of a run. */
+/** Driver-kill times (simulated seconds), epoch cadence and job kind of
+ *  a run. */
 struct KillPlan
 {
     /** Map completions between interval epochs (0 = waves only). */
@@ -55,10 +57,13 @@ struct KillPlan
     std::array<double, 4> kills = {1.0, 3.0, 6.0, 12.0};
     /** Kill times of the double-kill run. */
     std::array<double, 2> double_kill = {2.0, 7.0};
+    /** Runs the precise job (the workload's fold reducers) instead of
+     *  sampling half of each block. */
+    bool precise = false;
 };
 
 journal::RunSpec
-specFor(const Scenario& s, uint64_t map_interval, const std::string& faults)
+specFor(const Scenario& s, const KillPlan& plan, const std::string& faults)
 {
     journal::RunSpec spec;
     spec.app = "wikilength";
@@ -68,10 +73,11 @@ specFor(const Scenario& s, uint64_t map_interval, const std::string& faults)
     spec.reducers = kReducers;
     spec.threads = s.threads;
     spec.cluster = s.cluster;
-    spec.sampling = 0.5;
+    spec.precise = plan.precise;
+    spec.sampling = plan.precise ? 1.0 : 0.5;
     spec.failure_mode = ft::toString(s.mode);
     spec.fault_plan = faults;
-    spec.map_interval = map_interval;
+    spec.map_interval = plan.map_interval;
     return spec;
 }
 
@@ -82,7 +88,7 @@ specFor(const Scenario& s, uint64_t map_interval, const std::string& faults)
  * re-reached epoch against the sealed prefix.
  */
 mr::JobResult
-runScenario(const Scenario& s, uint64_t map_interval,
+runScenario(const Scenario& s, const KillPlan& plan,
             const std::vector<double>& dcrash, uint32_t* resumes_out = nullptr)
 {
     const apps::AggregationWorkload& w =
@@ -99,7 +105,7 @@ runScenario(const Scenario& s, uint64_t map_interval,
     std::unique_ptr<journal::JobJournal> jj;
     if (!dcrash.empty()) {
         jj = journal::JobJournal::createInMemory(
-            specFor(s, map_interval, faults));
+            specFor(s, plan, faults));
     }
 
     core::ApproxConfig approx;
@@ -118,15 +124,19 @@ runScenario(const Scenario& s, uint64_t map_interval,
         }
         if (jj != nullptr) {
             config.driver_crash_skip = jj->resumeCount();
-            config.journal_map_interval = map_interval;
+            config.journal_map_interval = plan.map_interval;
         }
         sim::Cluster cluster(sim::ClusterConfig::parse(s.cluster));
         hdfs::NameNode nn(cluster.numServers(), 3, kSeed);
         core::ApproxJobRunner runner(cluster, *data, nn);
         runner.setEpochSink(jj.get());
         try {
-            mr::JobResult result = runner.runAggregation(
-                config, approx, w.mapper_factory(), w.op);
+            mr::JobResult result =
+                plan.precise
+                    ? runner.runPrecise(config, w.mapper_factory(),
+                                        w.precise_reducer_factory())
+                    : runner.runAggregation(config, approx,
+                                            w.mapper_factory(), w.op);
             if (resumes_out != nullptr) {
                 *resumes_out = jj ? jj->resumeCount() : 0;
             }
@@ -163,11 +173,11 @@ expectResultsIdentical(const mr::JobResult& resumed,
 mr::JobResult
 expectSingleKillsMatch(const Scenario& s, const KillPlan& plan)
 {
-    mr::JobResult baseline = runScenario(s, plan.map_interval, {});
+    mr::JobResult baseline = runScenario(s, plan, {});
     for (double at : plan.kills) {
         uint32_t resumes = 0;
         mr::JobResult resumed =
-            runScenario(s, plan.map_interval, {at}, &resumes);
+            runScenario(s, plan, {at}, &resumes);
         EXPECT_EQ(resumes, 1u)
             << s.label << " dcrash=" << at
             << ": the driver kill never fired (time beyond job end?)";
@@ -183,10 +193,10 @@ expectSingleKillsMatch(const Scenario& s, const KillPlan& plan)
 void
 expectDoubleKillMatches(const Scenario& s, const KillPlan& plan)
 {
-    mr::JobResult baseline = runScenario(s, plan.map_interval, {});
+    mr::JobResult baseline = runScenario(s, plan, {});
     uint32_t resumes = 0;
     mr::JobResult resumed = runScenario(
-        s, plan.map_interval,
+        s, plan,
         {plan.double_kill[0], plan.double_kill[1]}, &resumes);
     EXPECT_EQ(resumes, 2u) << s.label;
     expectResultsIdentical(resumed, baseline,
@@ -247,6 +257,14 @@ struct PlannedScenario
     KillPlan plan;
 };
 
+/* Named arrays rather than string literals: gtest prints a Scenario
+ * parameter as its raw bytes, label pointer included, and those bytes
+ * are part of the matrix test names above. A new literal in this file
+ * can move the matrix labels within the merged string section and so
+ * rename those tests; a named array does not. */
+constexpr char kPreciseLabel[] = "precise-reduce-crash-8t";
+constexpr char kPreciseFaults[] = "rcrash=0.5,seed=3";
+
 /** Reduce crashes with corrupt chunks under a map-interval cadence. A
  *  reduce crash restores reducer 1 from its checkpoint image at the
  *  14th map delivery (t=62.264) while interval epochs snapshot both
@@ -260,6 +278,11 @@ const PlannedScenario kRestoreScenarios[] = {
     {{"absorb-reduce-crash-corrupt-8t", 8, ft::FailureMode::kAbsorb,
       "corrupt=0.05,rcrash=0.5,seed=3"},
      {4, {12.0, 61.0, 62.268, 63.0}, {62.268, 63.0}}},
+    // The precise job's fold reducers checkpoint per-key accumulators:
+    // reducer 1 restores at the 14th map delivery (t=68.900) and the
+    // interval epochs seal at the 12th (t=68.495) and 16th (t=68.909).
+    {{kPreciseLabel, 8, ft::FailureMode::kRetry, kPreciseFaults},
+     {4, {12.0, 68.2, 68.905, 69.5}, {68.905, 69.5}, true}},
 };
 
 class JournalReduceRestoreResumeTest
