@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/aggregation_registry.h"
 #include "common/random.h"
@@ -270,22 +271,23 @@ replayClusters(const apps::AggregationWorkload& workload,
     return clusters;
 }
 
+constexpr std::pair<Mutation, const char*> kMutationNames[] = {
+    {Mutation::kNone, "none"},
+    {Mutation::kCiWidening, "ci-widening"},
+    {Mutation::kCounters, "counters"},
+    {Mutation::kDeterminism, "determinism"},
+    {Mutation::kExitCode, "exit-code"},
+};
+
 }  // namespace
 
 Mutation
 parseMutation(const std::string& name)
 {
-    if (name == "ci-widening") {
-        return Mutation::kCiWidening;
-    }
-    if (name == "counters") {
-        return Mutation::kCounters;
-    }
-    if (name == "determinism") {
-        return Mutation::kDeterminism;
-    }
-    if (name == "exit-code") {
-        return Mutation::kExitCode;
+    for (const auto& [value, text] : kMutationNames) {
+        if (value != Mutation::kNone && name == text) {
+            return value;
+        }
     }
     throw std::invalid_argument(
         "mutation must be ci-widening, counters, determinism, or "
@@ -296,17 +298,10 @@ parseMutation(const std::string& name)
 const char*
 toString(Mutation m)
 {
-    switch (m) {
-        case Mutation::kNone:
-            return "none";
-        case Mutation::kCiWidening:
-            return "ci-widening";
-        case Mutation::kCounters:
-            return "counters";
-        case Mutation::kDeterminism:
-            return "determinism";
-        case Mutation::kExitCode:
-            return "exit-code";
+    for (const auto& [value, name] : kMutationNames) {
+        if (value == m) {
+            return name;
+        }
     }
     return "?";
 }

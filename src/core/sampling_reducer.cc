@@ -31,76 +31,68 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
 
     if (op_ == Op::kSum || op_ == Op::kCount) {
         // Fold this cluster's per-key moments into O(1)-per-key state.
-        struct Moments
-        {
-            uint64_t count = 0;
-            double sum = 0.0;
-            double sum_sq = 0.0;
-        };
-        // Flat per-chunk key table instead of a std::map: chunks out of
-        // the map-side combiner carry each key once (sorted), so the
-        // adjacent-run check below almost always hits; uncombined chunks
-        // fall back to one hash probe per record. The fold over distinct
-        // keys is per-key independent, so its order does not affect any
-        // aggregate value.
-        std::vector<std::pair<std::string_view, Moments>> per_key;
-        std::unordered_map<std::string_view, size_t> key_index;
+        // One intern probe per record, skipped while a run of records
+        // repeats its predecessor's key (chunks out of the map-side
+        // combiner carry each key once, sorted). chunk_ collects the
+        // chunk's distinct keys in first-seen order, and each key finds
+        // its entry through its aggregate's chunk_slot, so the chunk
+        // needs no table of its own.
+        chunk_.clear();
+        const std::string* run_key = nullptr;
+        Moments* m = nullptr;
         for (const mr::KeyValue& kv : chunk.records) {
-            Moments* slot;
-            if (!per_key.empty() && per_key.back().first == kv.key) {
-                slot = &per_key.back().second;
-            } else {
-                auto [it, inserted] =
-                    key_index.try_emplace(kv.key, per_key.size());
-                if (inserted) {
-                    per_key.emplace_back(std::string_view(kv.key),
-                                         Moments{});
+            if (run_key == nullptr || kv.key != *run_key) {
+                uint32_t id = keys_.intern(kv.key);
+                if (id == aggs_.size()) {
+                    aggs_.emplace_back();
                 }
-                slot = &per_key[it->second].second;
+                uint32_t& slot = aggs_[id].chunk_slot;
+                if (slot >= chunk_.size() || chunk_[slot].first != id) {
+                    slot = static_cast<uint32_t>(chunk_.size());
+                    chunk_.emplace_back(id, Moments{});
+                }
+                m = &chunk_[slot].second;
+                run_key = &kv.key;
             }
-            Moments& m = *slot;
             if (mr::MomentsCombiner::isMomentsRecord(kv)) {
                 // Map-side MomentsCombiner output: unpack (sum, sum_sq,
                 // count) so bounds match the uncombined execution.
                 uint64_t count = static_cast<uint64_t>(kv.value3);
-                m.count += count;
+                m->count += count;
                 if (op_ == Op::kCount) {
-                    m.sum += static_cast<double>(count);
-                    m.sum_sq += static_cast<double>(count);
+                    m->sum += static_cast<double>(count);
+                    m->sum_sq += static_cast<double>(count);
                 } else {
-                    m.sum += kv.value;
-                    m.sum_sq += kv.value2;
+                    m->sum += kv.value;
+                    m->sum_sq += kv.value2;
                 }
                 continue;
             }
             double v = op_ == Op::kCount ? 1.0 : kv.value;
-            ++m.count;
-            m.sum += v;
-            m.sum_sq += v * v;
+            ++m->count;
+            m->sum += v;
+            m->sum_sq += v * v;
         }
+        // Keys fold in first-seen order, so new keys join dirty_ (and
+        // later image_) in the order the chunk introduced them.
         double big_m = static_cast<double>(chunk.items_total);
         double mi = static_cast<double>(chunk.items_processed);
-        for (const auto& [key, m] : per_key) {
-            auto it = sums_.lower_bound(key);
-            if (it == sums_.end() || it->first != key) {
-                it = sums_.emplace_hint(it, std::string(key),
-                                        SumAggregate{});
-            }
-            SumAggregate& agg = it->second;
+        for (const auto& [id, km] : chunk_) {
+            SumAggregate& agg = aggs_[id];
             if (!agg.dirty) {
                 agg.dirty = true;
-                dirty_.push_back(&*it);
+                dirty_.push_back(id);
             }
             ++agg.emitted_clusters;
-            agg.records += m.count;
+            agg.records += km.count;
             if (mi <= 0.0) {
                 continue;
             }
-            double tau = big_m / mi * m.sum;
+            double tau = big_m / mi * km.sum;
             agg.sum_tau += tau;
             agg.sum_tau_sq += tau * tau;
             double s2 = stats::varianceWithImplicitZeros(
-                chunk.items_processed, m.sum, m.sum_sq);
+                chunk.items_processed, km.sum, km.sum_sq);
             agg.sum_intra_variance += s2;
             if (chunk.items_processed < chunk.items_total) {
                 agg.within += big_m * (big_m - mi) * s2 / mi;
@@ -124,6 +116,25 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
         s.sum_squares_x += x * x;
         s.sum_xy += y * x;
     }
+}
+
+const std::vector<uint32_t>&
+MultiStageSamplingReducer::keyOrder() const
+{
+    size_t sorted = key_order_.size();
+    if (sorted < aggs_.size()) {
+        for (size_t id = sorted; id < aggs_.size(); ++id) {
+            key_order_.push_back(static_cast<uint32_t>(id));
+        }
+        auto by_key = [this](uint32_t a, uint32_t b) {
+            return keys_.key(a) < keys_.key(b);
+        };
+        auto mid = key_order_.begin() + static_cast<ptrdiff_t>(sorted);
+        std::sort(mid, key_order_.end(), by_key);
+        std::inplace_merge(key_order_.begin(), mid, key_order_.end(),
+                           by_key);
+    }
+    return key_order_;
 }
 
 double
@@ -161,7 +172,7 @@ MultiStageSamplingReducer::sumEstimateNumbers(const SumAggregate& agg,
 }
 
 KeyEstimate
-MultiStageSamplingReducer::sumEstimate(const std::string& key,
+MultiStageSamplingReducer::sumEstimate(std::string_view key,
                                        const SumAggregate& agg,
                                        uint64_t total_clusters,
                                        double t) const
@@ -220,10 +231,11 @@ MultiStageSamplingReducer::currentEstimates(uint64_t total_clusters) const
 {
     std::vector<KeyEstimate> estimates;
     if (op_ == Op::kSum || op_ == Op::kCount) {
-        estimates.reserve(sums_.size());
+        estimates.reserve(aggs_.size());
         double t = criticalT();
-        for (const auto& [key, agg] : sums_) {
-            estimates.push_back(sumEstimate(key, agg, total_clusters, t));
+        for (uint32_t id : keyOrder()) {
+            estimates.push_back(
+                sumEstimate(keys_.key(id), aggs_[id], total_clusters, t));
         }
     } else {
         for (const auto& [key, _] : ratio_data_) {
@@ -249,10 +261,10 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
     double big_n = static_cast<double>(total_clusters);
     double t = criticalT();
 
-    auto make_stats = [&](const std::string& key,
-                          const SumAggregate& agg) {
+    auto make_stats = [&](uint32_t id) {
+        const SumAggregate& agg = aggs_[id];
         KeyPlanStats stats;
-        stats.key = key;
+        stats.key = keys_.key(id);
         stats.tau_hat = big_n / nd * agg.sum_tau;
         double s2u = (agg.sum_tau_sq - agg.sum_tau * agg.sum_tau / nd) /
                      (nd - 1.0);
@@ -264,39 +276,37 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
         return stats;
     };
 
-    if (top_k == 0 || sums_.size() <= top_k) {
-        result.reserve(sums_.size());
-        for (const auto& [key, agg] : sums_) {
-            result.push_back(make_stats(key, agg));
+    if (top_k == 0 || aggs_.size() <= top_k) {
+        result.reserve(aggs_.size());
+        for (uint32_t id : keyOrder()) {
+            result.push_back(make_stats(id));
         }
         return result;
     }
 
     // Partial top-k selection by error bound: scan once keeping a small
-    // min-heap of (bound, aggregate pointer); avoids copying the key
-    // strings of the (potentially millions of) non-worst keys.
-    using Entry = std::pair<double, const std::pair<const std::string,
-                                                    SumAggregate>*>;
+    // min-heap of (bound, key id); avoids copying the key strings of the
+    // (potentially millions of) non-worst keys.
+    using Entry = std::pair<double, uint32_t>;
     auto cmp = [](const Entry& a, const Entry& b) {
         return a.first > b.first;  // min-heap on bound
     };
     std::vector<Entry> heap;
     heap.reserve(top_k + 1);
-    for (const auto& entry : sums_) {
-        double bound =
-            sumEstimateNumbers(entry.second, total_clusters, t).second;
+    for (uint32_t id : keyOrder()) {
+        double bound = sumEstimateNumbers(aggs_[id], total_clusters, t).second;
         if (heap.size() < top_k) {
-            heap.emplace_back(bound, &entry);
+            heap.emplace_back(bound, id);
             std::push_heap(heap.begin(), heap.end(), cmp);
         } else if (bound > heap.front().first) {
             std::pop_heap(heap.begin(), heap.end(), cmp);
-            heap.back() = Entry{bound, &entry};
+            heap.back() = Entry{bound, id};
             std::push_heap(heap.begin(), heap.end(), cmp);
         }
     }
     result.reserve(heap.size());
     for (const Entry& e : heap) {
-        result.push_back(make_stats(e.second->first, e.second->second));
+        result.push_back(make_stats(e.second));
     }
     return result;
 }
@@ -306,9 +316,13 @@ MultiStageSamplingReducer::worstAbsoluteError(uint64_t total_clusters) const
 {
     WorstError worst;
     if (op_ == Op::kSum || op_ == Op::kCount) {
+        // Ids in arrival order, with an equal bound going to the smaller
+        // key: the same key a walk in key order keeps first.
         double t = criticalT();
-        for (const auto& [key, agg] : sums_) {
-            auto [value, bound] = sumEstimateNumbers(agg, total_clusters, t);
+        uint32_t worst_id = 0;
+        for (uint32_t id = 0; id < aggs_.size(); ++id) {
+            auto [value, bound] =
+                sumEstimateNumbers(aggs_[id], total_clusters, t);
             if (value == 0.0) {
                 continue;
             }
@@ -317,9 +331,12 @@ MultiStageSamplingReducer::worstAbsoluteError(uint64_t total_clusters) const
                 worst.all_finite = false;
                 continue;
             }
-            if (bound > worst.error_bound) {
+            if (bound > worst.error_bound ||
+                (bound == worst.error_bound && bound > 0.0 &&
+                 keys_.key(id) < keys_.key(worst_id))) {
                 worst.error_bound = bound;
                 worst.value = value;
+                worst_id = id;
             }
         }
         return worst;
@@ -349,14 +366,14 @@ MultiStageSamplingReducer::estimateDistinctKeys() const
     }
     uint64_t singletons = 0;
     uint64_t doubletons = 0;
-    for (const auto& [key, agg] : sums_) {
+    for (const SumAggregate& agg : aggs_) {
         if (agg.records == 1) {
             ++singletons;
         } else if (agg.records == 2) {
             ++doubletons;
         }
     }
-    double d = static_cast<double>(sums_.size());
+    double d = static_cast<double>(aggs_.size());
     double f1 = static_cast<double>(singletons);
     double f2 = static_cast<double>(doubletons);
     if (f2 > 0.0) {
@@ -371,7 +388,7 @@ MultiStageSamplingReducer::finalize(mr::ReduceContext& ctx)
 {
     for (KeyEstimate& est : currentEstimates(ctx.totalMapTasks())) {
         mr::OutputRecord rec;
-        rec.key = est.key;
+        rec.key = std::move(est.key);
         rec.value = est.value;
         rec.has_bound = true;
         if (est.finite) {
@@ -412,9 +429,9 @@ MultiStageSamplingReducer::refreshImage() const
         image_ = w.release();
         assert(image_.size() == kHeaderBytes);
     }
-    for (SumMap::value_type* entry : dirty_) {
-        const std::string& key = entry->first;
-        const SumAggregate& agg = entry->second;
+    for (uint32_t id : dirty_) {
+        std::string_view key = keys_.key(id);
+        const SumAggregate& agg = aggs_[id];
         if (agg.image_offset == 0) {
             // First write of this key: append its record.
             char len[8];
@@ -435,7 +452,7 @@ MultiStageSamplingReducer::refreshImage() const
     }
     dirty_.clear();
     integrity::storeU64(image_.data() + kClustersOffset, clusters_);
-    integrity::storeU64(image_.data() + kKeyCountOffset, sums_.size());
+    integrity::storeU64(image_.data() + kKeyCountOffset, aggs_.size());
 }
 
 bool
@@ -502,11 +519,16 @@ MultiStageSamplingReducer::restore(const std::string& state)
     }
     uint64_t clusters = r.getU64();
 
-    SumMap sums;
+    // Keys get ids in blob order, which is first-seen order.
+    mr::KeyInterner keys;
+    std::vector<SumAggregate> aggs;
     uint64_t num_sums = r.getU64();
     for (uint64_t i = 0; i < num_sums; ++i) {
-        std::string key = r.getString();
-        SumAggregate agg;
+        if (keys.intern(r.getString()) != aggs.size()) {
+            throw std::runtime_error(
+                "sampling reducer checkpoint: duplicate key");
+        }
+        SumAggregate& agg = aggs.emplace_back();
         agg.image_offset = r.position();
         agg.emitted_clusters = r.getU64();
         agg.records = r.getU64();
@@ -514,10 +536,6 @@ MultiStageSamplingReducer::restore(const std::string& state)
         agg.sum_tau_sq = r.getDouble();
         agg.within = r.getDouble();
         agg.sum_intra_variance = r.getDouble();
-        if (!sums.emplace(std::move(key), agg).second) {
-            throw std::runtime_error(
-                "sampling reducer checkpoint: duplicate key");
-        }
     }
     size_t records_end = r.position();
 
@@ -555,7 +573,9 @@ MultiStageSamplingReducer::restore(const std::string& state)
     r.expectEnd();
 
     clusters_ = clusters;
-    sums_ = std::move(sums);
+    keys_ = std::move(keys);
+    aggs_ = std::move(aggs);
+    key_order_.clear();
     dirty_.clear();
     if (op_ == Op::kSum || op_ == Op::kCount) {
         // The snapshot's header and records are the image, in the

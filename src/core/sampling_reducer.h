@@ -3,13 +3,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/key_estimate.h"
+#include "mapreduce/key_interner.h"
 #include "mapreduce/mapper.h"
 #include "mapreduce/reducer.h"
 #include "stats/two_stage.h"
@@ -54,11 +56,6 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
      * @param confidence confidence level for the bounds (e.g., 0.95)
      */
     MultiStageSamplingReducer(Op op, double confidence);
-
-    // dirty_ points into this reducer's own sums_.
-    MultiStageSamplingReducer(const MultiStageSamplingReducer&) = delete;
-    MultiStageSamplingReducer&
-    operator=(const MultiStageSamplingReducer&) = delete;
 
     void consume(const mr::MapOutputChunk& chunk) override;
     void finalize(mr::ReduceContext& ctx) override;
@@ -142,7 +139,7 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     uint64_t
     observedKeys() const
     {
-        return op_ == Op::kSum || op_ == Op::kCount ? sums_.size()
+        return op_ == Op::kSum || op_ == Op::kCount ? aggs_.size()
                                                     : ratio_data_.size();
     }
 
@@ -165,8 +162,18 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
         mutable size_t image_offset = 0;
         /** Consumed since image_ was last refreshed (listed in dirty_). */
         mutable bool dirty = false;
+        /** Index of this key's entry in chunk_ while a chunk is folded;
+         *  valid only when chunk_[chunk_slot].first is this key's id. */
+        uint32_t chunk_slot = 0;
     };
-    using SumMap = std::map<std::string, SumAggregate, std::less<>>;
+
+    /** One chunk's moments for one key. */
+    struct Moments
+    {
+        uint64_t count = 0;
+        double sum = 0.0;
+        double sum_sq = 0.0;
+    };
 
     /**
      * Student-t critical value t_{n-1, 1-alpha/2} for the clusters
@@ -177,7 +184,7 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
 
     /** Computes one key's sum/count estimate from its folded aggregate;
      *  @p t is criticalT(). */
-    KeyEstimate sumEstimate(const std::string& key, const SumAggregate& agg,
+    KeyEstimate sumEstimate(std::string_view key, const SumAggregate& agg,
                             uint64_t total_clusters, double t) const;
 
     /**
@@ -200,8 +207,22 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     double confidence_;
     uint64_t clusters_ = 0;
 
-    // kSum/kCount path: O(1) state per key.
-    SumMap sums_;
+    // kSum/kCount path: O(1) state per key. Each key has an id from
+    // keys_ (first-seen order) that indexes aggs_.
+    mr::KeyInterner keys_;
+    std::vector<SumAggregate> aggs_;
+    /** The chunk being folded: its distinct keys in first-seen order,
+     *  each with the chunk's moments; kept only to reuse its memory. */
+    std::vector<std::pair<uint32_t, Moments>> chunk_;
+
+    /**
+     * Every id, sorted by key string. The scans walk keys in this order,
+     * so a tie (an equal bound, equal entries in a top-k heap) is settled
+     * by key order, never by the order keys arrived in. Ids added since
+     * the previous call are sorted and merged in.
+     */
+    const std::vector<uint32_t>& keyOrder() const;
+    mutable std::vector<uint32_t> key_order_;
 
     /** Brings image_ up to date: patches the dirty keys' value bytes,
      *  appends keys never written, and rewrites the header counts. */
@@ -213,8 +234,9 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     // restored and replayed reducer rebuilds the same bytes as one that
     // never crashed, and an image only grows at its end.
     mutable std::string image_;
-    /** Keys consumed since the last refresh, in first-touch order. */
-    mutable std::vector<SumMap::value_type*> dirty_;
+    /** Ids of the keys consumed since the last refresh, in first-touch
+     *  order. */
+    mutable std::vector<uint32_t> dirty_;
 
     // kAverage/kRatio path: per-key per-emitting-cluster samples plus the
     // (M_i, m_i) roster of every consumed cluster so implicit-zero rows

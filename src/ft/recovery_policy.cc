@@ -3,19 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace approxhadoop::ft {
+
+constexpr std::pair<FailureMode, const char*> kFailureModeNames[] = {
+    {FailureMode::kRetry, "retry"},
+    {FailureMode::kAbsorb, "absorb"},
+    {FailureMode::kAuto, "auto"},
+};
 
 const char*
 toString(FailureMode mode)
 {
-    switch (mode) {
-        case FailureMode::kRetry:
-            return "retry";
-        case FailureMode::kAbsorb:
-            return "absorb";
-        case FailureMode::kAuto:
-            return "auto";
+    for (const auto& [value, name] : kFailureModeNames) {
+        if (value == mode) {
+            return name;
+        }
     }
     return "?";
 }
@@ -23,14 +27,10 @@ toString(FailureMode mode)
 FailureMode
 parseFailureMode(const std::string& name)
 {
-    if (name == "retry") {
-        return FailureMode::kRetry;
-    }
-    if (name == "absorb") {
-        return FailureMode::kAbsorb;
-    }
-    if (name == "auto") {
-        return FailureMode::kAuto;
+    for (const auto& [value, text] : kFailureModeNames) {
+        if (name == text) {
+            return value;
+        }
     }
     throw std::invalid_argument("failure mode must be retry, absorb, or "
                                 "auto (got '" +

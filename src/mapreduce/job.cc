@@ -1635,11 +1635,10 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
                   });
         std::vector<KeyValue> combined;
         combined.reserve(nkeys);
+        // Every id was interned from a record, so each group is non-empty
+        // and its first record carries the key.
         for (uint32_t id : order) {
-            if (counts[id] == 0) {
-                continue;
-            }
-            combiner_->combineGroup(interner.key(id),
+            combiner_->combineGroup(grouped[starts[id]].key,
                                     grouped.data() + starts[id],
                                     counts[id], combined);
         }
@@ -1669,7 +1668,7 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
         for (size_t i = 0; i < output.size(); ++i) {
             uint32_t& p = part_of_id[key_ids[i]];
             if (p == kNoPart) {
-                p = partitioner_->partition(interner.key(key_ids[i]),
+                p = partitioner_->partition(output[i].key,
                                             config_.num_reducers);
             }
             parts[i] = p;

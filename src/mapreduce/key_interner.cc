@@ -42,17 +42,18 @@ KeyInterner::intern(std::string_view key)
     size_t slot = static_cast<size_t>(h) & mask_;
     while (slots_[slot] != 0) {
         uint32_t id = slots_[slot] - 1;
-        if (hashes_[id] == h && keys_[id] == key) {
+        if (hashes_[id] == h && this->key(id) == key) {
             return id;
         }
         slot = (slot + 1) & mask_;
     }
-    uint32_t id = static_cast<uint32_t>(keys_.size());
-    keys_.emplace_back(key);
+    uint32_t id = static_cast<uint32_t>(ends_.size());
+    arena_.append(key);
+    ends_.push_back(arena_.size());
     hashes_.push_back(h);
     slots_[slot] = id + 1;
     // Grow at 70% load so probe chains stay short.
-    if (10 * keys_.size() >= 7 * slots_.size()) {
+    if (10 * ends_.size() >= 7 * slots_.size()) {
         rehash(slots_.size() * 2);
     }
     return id;
@@ -64,7 +65,7 @@ KeyInterner::rehash(size_t new_slots)
     assert((new_slots & (new_slots - 1)) == 0);
     slots_.assign(new_slots, 0);
     mask_ = new_slots - 1;
-    for (uint32_t id = 0; id < keys_.size(); ++id) {
+    for (uint32_t id = 0; id < ends_.size(); ++id) {
         size_t slot = static_cast<size_t>(hashes_[id]) & mask_;
         while (slots_[slot] != 0) {
             slot = (slot + 1) & mask_;

@@ -16,8 +16,10 @@ namespace approxhadoop::mr {
  * — map-side grouping for the combiner, partition lookup, the precise
  * reducers' per-key accumulators — work on integer ids instead of
  * re-hashing and re-comparing std::strings per record. Ids are stable
- * for the table's lifetime; the interned key strings are owned by the
- * table.
+ * for the table's lifetime. The table stores each key's bytes once,
+ * back to back in one arena string, so a key costs its length plus an
+ * end offset and a cached hash rather than a std::string object and,
+ * past the small-string size, its own heap block.
  *
  * Uses the same FNV-1a hash as HashPartitioner so behavior is platform-
  * stable, with linear probing and growth at 70% load. Not thread-safe;
@@ -33,11 +35,19 @@ class KeyInterner
     /** Returns the id of @p key, inserting it on first sight. */
     uint32_t intern(std::string_view key);
 
-    /** The interned key for @p id (valid for the table's lifetime). */
-    const std::string& key(uint32_t id) const { return keys_[id]; }
+    /**
+     * The interned key for @p id. The view points into the arena, so it
+     * stays valid only until the next intern() (which may grow it).
+     */
+    std::string_view
+    key(uint32_t id) const
+    {
+        uint64_t begin = id == 0 ? 0 : ends_[id - 1];
+        return std::string_view(arena_.data() + begin, ends_[id] - begin);
+    }
 
     /** Number of distinct keys interned. */
-    size_t size() const { return keys_.size(); }
+    size_t size() const { return ends_.size(); }
 
     /** Probe-table slots (exposed so tests can observe rehashing). */
     size_t slotCount() const { return slots_.size(); }
@@ -48,8 +58,11 @@ class KeyInterner
   private:
     void rehash(size_t new_slots);
 
-    /** Interned keys, indexed by id. */
-    std::vector<std::string> keys_;
+    /** Every interned key's bytes, concatenated in id order. */
+    std::string arena_;
+    /** End offset of each id's key in arena_; key id starts where id - 1
+     *  ends (id 0 at 0). */
+    std::vector<uint64_t> ends_;
     /** Cached hash per id (avoids re-hashing keys on rehash/compare). */
     std::vector<uint64_t> hashes_;
     /** Open-addressing probe table holding id + 1; 0 marks an empty slot. */

@@ -54,7 +54,7 @@ FoldReducer::finalize(ReduceContext& ctx)
         } else if (fold_ == Fold::kAverage) {
             value = a.value / static_cast<double>(a.n);
         }
-        ctx.write(keys_.key(id), value);
+        ctx.write(std::string(keys_.key(id)), value);
     }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mapreduce/key_interner.h"
@@ -53,9 +54,10 @@ class ReduceContext
 
     /** Emits a precise output record. */
     void
-    write(const std::string& key, double value)
+    write(std::string key, double value)
     {
-        output_.push_back(OutputRecord{key, value, false, value, value});
+        output_.push_back(
+            OutputRecord{std::move(key), value, false, value, value});
     }
 
     /** Emits an output record with a confidence interval. */

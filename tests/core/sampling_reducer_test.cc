@@ -1,16 +1,23 @@
 #include "core/sampling_reducer.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/zipf.h"
+#include "integrity/blob.h"
+#include "mapreduce/combiner.h"
 #include "stats/moments.h"
 #include "stats/student_t.h"
 #include "stats/two_stage.h"
@@ -507,6 +514,495 @@ TEST(MultiStageSamplingReducerTest, CheckpointRestoreContinuesBitIdentically)
             }
         }
     }
+}
+
+
+/**
+ * The sum/count half of MultiStageSamplingReducer written the direct
+ * way: a key-ordered std::map of aggregates, a per-chunk hash table of
+ * moments, and a checkpoint blob serialized from scratch in first-seen
+ * key order. The reducer under test keeps its state on interned ids
+ * and patches its blob incrementally; every observable must still
+ * match this reference bit for bit.
+ */
+class MapReferenceReducer
+{
+  public:
+    using Op = MultiStageSamplingReducer::Op;
+
+    MapReferenceReducer(Op op, double confidence)
+        : op_(op), confidence_(confidence)
+    {
+    }
+
+    void
+    consume(const mr::MapOutputChunk& chunk)
+    {
+        ++clusters_;
+        struct Moments
+        {
+            uint64_t count = 0;
+            double sum = 0.0;
+            double sum_sq = 0.0;
+        };
+        std::vector<std::pair<std::string, Moments>> per_key;
+        std::unordered_map<std::string, size_t> index;
+        for (const mr::KeyValue& kv : chunk.records) {
+            auto [it, inserted] = index.try_emplace(kv.key, per_key.size());
+            if (inserted) {
+                per_key.emplace_back(kv.key, Moments{});
+            }
+            Moments& m = per_key[it->second].second;
+            if (mr::MomentsCombiner::isMomentsRecord(kv)) {
+                uint64_t count = static_cast<uint64_t>(kv.value3);
+                m.count += count;
+                if (op_ == Op::kCount) {
+                    m.sum += static_cast<double>(count);
+                    m.sum_sq += static_cast<double>(count);
+                } else {
+                    m.sum += kv.value;
+                    m.sum_sq += kv.value2;
+                }
+                continue;
+            }
+            double v = op_ == Op::kCount ? 1.0 : kv.value;
+            ++m.count;
+            m.sum += v;
+            m.sum_sq += v * v;
+        }
+        double big_m = static_cast<double>(chunk.items_total);
+        double mi = static_cast<double>(chunk.items_processed);
+        for (const auto& [key, m] : per_key) {
+            auto [it, inserted] = sums_.try_emplace(key);
+            if (inserted) {
+                first_seen_.push_back(key);
+            }
+            Agg& agg = it->second;
+            ++agg.emitted_clusters;
+            agg.records += m.count;
+            if (mi <= 0.0) {
+                continue;
+            }
+            double tau = big_m / mi * m.sum;
+            agg.sum_tau += tau;
+            agg.sum_tau_sq += tau * tau;
+            double s2 = stats::varianceWithImplicitZeros(
+                chunk.items_processed, m.sum, m.sum_sq);
+            agg.sum_intra_variance += s2;
+            if (chunk.items_processed < chunk.items_total) {
+                agg.within += big_m * (big_m - mi) * s2 / mi;
+            }
+        }
+    }
+
+    std::vector<KeyEstimate>
+    currentEstimates(uint64_t total_clusters) const
+    {
+        std::vector<KeyEstimate> estimates;
+        for (const auto& [key, agg] : sums_) {
+            auto [value, bound] = numbers(agg, total_clusters);
+            KeyEstimate est;
+            est.key = key;
+            est.value = value;
+            est.error_bound = bound;
+            est.lower = value - bound;
+            est.upper = value + bound;
+            est.finite = std::isfinite(bound);
+            estimates.push_back(est);
+        }
+        return estimates;
+    }
+
+    std::vector<MultiStageSamplingReducer::KeyPlanStats>
+    planStats(uint64_t total_clusters, size_t top_k) const
+    {
+        std::vector<MultiStageSamplingReducer::KeyPlanStats> result;
+        if (clusters_ < 2) {
+            return result;
+        }
+        double nd = static_cast<double>(clusters_);
+        double big_n = static_cast<double>(total_clusters);
+        auto make_stats = [&](const std::string& key, const Agg& agg) {
+            MultiStageSamplingReducer::KeyPlanStats stats;
+            stats.key = key;
+            stats.tau_hat = big_n / nd * agg.sum_tau;
+            double s2u = (agg.sum_tau_sq - agg.sum_tau * agg.sum_tau / nd) /
+                         (nd - 1.0);
+            stats.inter_cluster_variance = std::max(0.0, s2u);
+            stats.mean_intra_variance = agg.sum_intra_variance / nd;
+            stats.within_consumed = agg.within;
+            stats.error_bound = numbers(agg, total_clusters).second;
+            return stats;
+        };
+        if (top_k == 0 || sums_.size() <= top_k) {
+            for (const auto& [key, agg] : sums_) {
+                result.push_back(make_stats(key, agg));
+            }
+            return result;
+        }
+        using Entry = std::pair<double, const std::pair<const std::string,
+                                                        Agg>*>;
+        auto cmp = [](const Entry& a, const Entry& b) {
+            return a.first > b.first;
+        };
+        std::vector<Entry> heap;
+        for (const auto& entry : sums_) {
+            double bound = numbers(entry.second, total_clusters).second;
+            if (heap.size() < top_k) {
+                heap.emplace_back(bound, &entry);
+                std::push_heap(heap.begin(), heap.end(), cmp);
+            } else if (bound > heap.front().first) {
+                std::pop_heap(heap.begin(), heap.end(), cmp);
+                heap.back() = Entry{bound, &entry};
+                std::push_heap(heap.begin(), heap.end(), cmp);
+            }
+        }
+        for (const Entry& e : heap) {
+            result.push_back(make_stats(e.second->first, e.second->second));
+        }
+        return result;
+    }
+
+    MultiStageSamplingReducer::WorstError
+    worstAbsoluteError(uint64_t total_clusters) const
+    {
+        MultiStageSamplingReducer::WorstError worst;
+        for (const auto& [key, agg] : sums_) {
+            auto [value, bound] = numbers(agg, total_clusters);
+            if (value == 0.0) {
+                continue;
+            }
+            worst.any_key = true;
+            if (!std::isfinite(bound)) {
+                worst.all_finite = false;
+                continue;
+            }
+            if (bound > worst.error_bound) {
+                worst.error_bound = bound;
+                worst.value = value;
+            }
+        }
+        return worst;
+    }
+
+    double
+    estimateDistinctKeys() const
+    {
+        double f1 = 0.0;
+        double f2 = 0.0;
+        for (const auto& [key, agg] : sums_) {
+            f1 += agg.records == 1 ? 1.0 : 0.0;
+            f2 += agg.records == 2 ? 1.0 : 0.0;
+        }
+        double d = static_cast<double>(sums_.size());
+        return f2 > 0.0 ? d + f1 * f1 / (2.0 * f2)
+                        : d + f1 * (f1 - 1.0) / 2.0;
+    }
+
+    uint64_t observedKeys() const { return sums_.size(); }
+
+    bool
+    checkpoint(std::string& state) const
+    {
+        integrity::BlobWriter w;
+        w.putU64(static_cast<uint64_t>(op_));
+        w.putDouble(confidence_);
+        w.putU64(clusters_);
+        w.putU64(first_seen_.size());
+        for (const std::string& key : first_seen_) {
+            const Agg& agg = sums_.at(key);
+            w.putString(key);
+            w.putU64(agg.emitted_clusters);
+            w.putU64(agg.records);
+            w.putDouble(agg.sum_tau);
+            w.putDouble(agg.sum_tau_sq);
+            w.putDouble(agg.within);
+            w.putDouble(agg.sum_intra_variance);
+        }
+        w.putU64(0);  // no cluster roster
+        w.putU64(0);  // no ratio keys
+        state = w.release();
+        return true;
+    }
+
+  private:
+    struct Agg
+    {
+        uint64_t emitted_clusters = 0;
+        uint64_t records = 0;
+        double sum_tau = 0.0;
+        double sum_tau_sq = 0.0;
+        double within = 0.0;
+        double sum_intra_variance = 0.0;
+    };
+
+    std::pair<double, double>
+    numbers(const Agg& agg, uint64_t total_clusters) const
+    {
+        double inf = std::numeric_limits<double>::infinity();
+        if (clusters_ == 0) {
+            return {0.0, inf};
+        }
+        double nd = static_cast<double>(clusters_);
+        double big_n = static_cast<double>(total_clusters);
+        double value = big_n / nd * agg.sum_tau;
+        if (clusters_ < 2) {
+            return {value, inf};
+        }
+        double s2u = std::max(
+            0.0,
+            (agg.sum_tau_sq - agg.sum_tau * agg.sum_tau / nd) / (nd - 1.0));
+        double variance =
+            big_n * (big_n - nd) * s2u / nd + (big_n / nd) * agg.within;
+        return {value,
+                stats::studentTCritical(confidence_, nd - 1.0) *
+                    std::sqrt(variance)};
+    }
+
+    Op op_;
+    double confidence_;
+    uint64_t clusters_ = 0;
+    std::map<std::string, Agg> sums_;
+    std::vector<std::string> first_seen_;
+};
+
+/** Everything a controller or the journal can read off a sum/count
+ *  reducer, with every double as its bit pattern. */
+struct Observation
+{
+    std::vector<std::string> estimates;
+    std::vector<std::string> plan_stats;
+    std::string worst;
+    uint64_t distinct_keys_bits = 0;
+    uint64_t observed_keys = 0;
+    std::string blob;
+};
+
+std::string
+bitsOf(std::initializer_list<double> values)
+{
+    std::string out;
+    for (double v : values) {
+        out += std::to_string(std::bit_cast<uint64_t>(v)) + " ";
+    }
+    return out;
+}
+
+template <typename Reducer>
+Observation
+observe(const Reducer& r, uint64_t total_clusters)
+{
+    Observation o;
+    for (const KeyEstimate& e : r.currentEstimates(total_clusters)) {
+        o.estimates.push_back(
+            e.key + " | " +
+            bitsOf({e.value, e.error_bound, e.lower, e.upper}) +
+            (e.finite ? "finite" : "infinite"));
+    }
+    for (size_t top_k : {size_t{0}, size_t{1}, size_t{5}, size_t{16}}) {
+        o.plan_stats.push_back("top " + std::to_string(top_k));
+        for (const auto& s : r.planStats(total_clusters, top_k)) {
+            o.plan_stats.push_back(
+                s.key + " | " +
+                bitsOf({s.tau_hat, s.inter_cluster_variance,
+                        s.mean_intra_variance, s.within_consumed,
+                        s.error_bound}));
+        }
+    }
+    MultiStageSamplingReducer::WorstError w =
+        r.worstAbsoluteError(total_clusters);
+    o.worst = bitsOf({w.error_bound, w.value}) +
+              (w.all_finite ? "finite " : "infinite ") +
+              (w.any_key ? "any" : "none");
+    o.distinct_keys_bits = std::bit_cast<uint64_t>(r.estimateDistinctKeys());
+    o.observed_keys = r.observedKeys();
+    EXPECT_TRUE(r.checkpoint(o.blob));
+    return o;
+}
+
+void
+expectSameObservation(const Observation& got, const Observation& want,
+                      const std::string& label)
+{
+    EXPECT_EQ(got.estimates, want.estimates) << label;
+    EXPECT_EQ(got.plan_stats, want.plan_stats) << label;
+    EXPECT_EQ(got.worst, want.worst) << label;
+    EXPECT_EQ(got.distinct_keys_bits, want.distinct_keys_bits) << label;
+    EXPECT_EQ(got.observed_keys, want.observed_keys) << label;
+    EXPECT_TRUE(got.blob == want.blob) << label << ": checkpoint blobs differ";
+}
+
+/**
+ * Seeded chunks over a skewed key pool that holds an empty key, keys
+ * with bytes >= 0x80 and keys with an embedded '\0'. Some chunks arrive
+ * pre-combined by MomentsCombiner, runs of records repeat a key, and a
+ * block of "tie" keys always shows up together with equal values, so
+ * their bounds tie exactly. Every chunk also carries "shift-z" and then
+ * "shift-a" with values a constant apart: with @p census set (every
+ * item processed, so no within-cluster term) their bounds tie exactly
+ * after a power-of-two number of chunks while their estimates differ.
+ */
+std::vector<mr::MapOutputChunk>
+referenceChunks(uint64_t seed, bool census)
+{
+    std::vector<std::string> pool = {"", std::string("a\0b", 3),
+                                     std::string("a\0", 2), "a",
+                                     "\xc3\xa9t\xc3\xa9", "\xff", "\x80z"};
+    for (int i = 0; i < 40; ++i) {
+        pool.push_back("k" + std::to_string(i * 7 % 40));
+    }
+    Rng rng(seed);
+    ZipfDistribution zipf(pool.size(), 1.05);
+    mr::MomentsCombiner combiner;
+    std::vector<mr::MapOutputChunk> chunks;
+    for (uint64_t c = 0; c < 30; ++c) {
+        std::vector<mr::KeyValue> records;
+        size_t n = rng.uniformInt(25);
+        for (size_t i = 0; i < n; ++i) {
+            const std::string& key = !records.empty() && rng.bernoulli(0.3)
+                                         ? records.back().key
+                                         : pool[zipf.sample(rng)];
+            records.push_back(
+                {key, std::round(rng.uniform(0.0, 8.0)), 0, 0, 0});
+        }
+        double base = static_cast<double>(100 + rng.uniformInt(200));
+        records.push_back({"shift-z", base + 3.0, 0, 0, 0});
+        records.push_back({"shift-a", base, 0, 0, 0});
+        if (c % 3 != 1) {
+            for (int t = 0; t < 12; ++t) {
+                records.push_back(
+                    {"tie" + std::to_string((t * 5) % 12), 20.0, 0, 0, 0});
+            }
+        }
+        if (c % 4 == 2) {
+            // Pre-combined: one moments record per key, in key order.
+            std::map<std::string, std::vector<mr::KeyValue>> groups;
+            for (const mr::KeyValue& kv : records) {
+                groups[kv.key].push_back(kv);
+            }
+            records.clear();
+            for (const auto& [key, values] : groups) {
+                combiner.combine(key, values, records);
+            }
+        }
+        uint64_t items_total = 30 + rng.uniformInt(20);
+        uint64_t items_processed =
+            census ? items_total
+            : c == 5
+                ? 0
+                : std::min(items_total, 25 + rng.uniformInt(10));
+        chunks.push_back(
+            chunk(c, items_total, items_processed, std::move(records)));
+    }
+    return chunks;
+}
+
+TEST(MultiStageSamplingReducerTest, MatchesMapReferenceBitForBit)
+{
+    using Op = MultiStageSamplingReducer::Op;
+    constexpr uint64_t kTotalClusters = 45;
+    for (auto [op, census] : {std::pair{Op::kSum, false},
+                              std::pair{Op::kCount, false},
+                              std::pair{Op::kSum, true},
+                              std::pair{Op::kCount, true}}) {
+        const std::vector<mr::MapOutputChunk> chunks =
+            referenceChunks(19, census);
+        const std::string op_label =
+            "op " + std::to_string(static_cast<int>(op)) +
+            (census ? " census" : " sampled");
+        MapReferenceReducer reference(op, 0.95);
+        MultiStageSamplingReducer reducer(op, 0.95);
+        std::vector<Observation> want = {observe(reference, kTotalClusters)};
+        expectSameObservation(observe(reducer, kTotalClusters), want[0],
+                              op_label + " before any chunk");
+        for (size_t i = 0; i < chunks.size(); ++i) {
+            reference.consume(chunks[i]);
+            reducer.consume(chunks[i]);
+            want.push_back(observe(reference, kTotalClusters));
+            expectSameObservation(observe(reducer, kTotalClusters), want.back(),
+                                  op_label + " after chunk " +
+                                      std::to_string(i));
+            if (census && op == Op::kSum && i + 1 == 16) {
+                // The worst bound is tied between the shift keys, and the
+                // smaller key, which always arrives second, holds it.
+                std::map<std::string, KeyEstimate> by_key;
+                for (const KeyEstimate& e :
+                     reference.currentEstimates(kTotalClusters)) {
+                    by_key[e.key] = e;
+                }
+                const KeyEstimate& a = by_key.at("shift-a");
+                const KeyEstimate& z = by_key.at("shift-z");
+                auto worst = reference.worstAbsoluteError(kTotalClusters);
+                EXPECT_EQ(a.error_bound, z.error_bound);
+                EXPECT_NE(a.value, z.value);
+                EXPECT_EQ(worst.error_bound, a.error_bound);
+                EXPECT_EQ(worst.value, a.value);
+            }
+        }
+        // The tie keys' bounds really tie, and the key space outgrows the
+        // largest top-k, so every selection runs through the heap.
+        std::set<uint64_t> tie_bounds;
+        for (const KeyEstimate& e :
+             reference.currentEstimates(kTotalClusters)) {
+            if (e.key.starts_with("tie")) {
+                tie_bounds.insert(std::bit_cast<uint64_t>(e.error_bound));
+            }
+        }
+        EXPECT_EQ(tie_bounds.size(), 1u) << op_label;
+        EXPECT_GT(want.back().observed_keys, 16u) << op_label;
+
+        // Restore every cut into a fresh reducer and into one that has
+        // consumed (and checkpointed) other chunks, then replay the rest.
+        for (size_t k = 0; k <= chunks.size(); ++k) {
+            const std::string label = op_label + " cut " + std::to_string(k);
+            MultiStageSamplingReducer fresh(op, 0.95);
+            MultiStageSamplingReducer dirtied(op, 0.95);
+            for (size_t i = chunks.size(); i-- > chunks.size() / 2;) {
+                dirtied.consume(chunks[i]);
+                if (i % 4 == 0) {
+                    snapshot(dirtied);
+                }
+            }
+            dirtied.planStats(kTotalClusters, 5);
+            for (MultiStageSamplingReducer* r : {&fresh, &dirtied}) {
+                ASSERT_TRUE(r->restore(want[k].blob)) << label;
+                expectSameObservation(observe(*r, kTotalClusters), want[k],
+                                      label + " restored");
+                for (size_t i = k; i < chunks.size(); ++i) {
+                    r->consume(chunks[i]);
+                    expectSameObservation(observe(*r, kTotalClusters),
+                                          want[i + 1],
+                                          label + " replayed chunk " +
+                                              std::to_string(i));
+                }
+            }
+        }
+    }
+}
+
+
+TEST(MultiStageSamplingReducerTest, RestoreRejectsDuplicateKeys)
+{
+    MultiStageSamplingReducer r(MultiStageSamplingReducer::Op::kSum, 0.95);
+    r.consume(chunk(0, 4, 2, {{"kept", 1.0, 0, 0, 0}}));
+    const std::string before = snapshot(r);
+
+    integrity::BlobWriter w;
+    w.putU64(static_cast<uint64_t>(MultiStageSamplingReducer::Op::kSum));
+    w.putDouble(0.95);
+    w.putU64(2);
+    w.putU64(2);
+    for (int i = 0; i < 2; ++i) {
+        w.putString("dup");
+        for (int field = 0; field < 6; ++field) {
+            w.putU64(1);
+        }
+    }
+    w.putU64(0);
+    w.putU64(0);
+    EXPECT_THROW(r.restore(w.release()), std::runtime_error);
+    // A rejected snapshot leaves the reducer as it was.
+    EXPECT_EQ(snapshot(r), before);
 }
 
 }  // namespace

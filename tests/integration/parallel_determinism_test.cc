@@ -160,6 +160,33 @@ TEST(ParallelDeterminismTest, MomentsCombinerIdenticalUnderParallelism)
     expectSameEstimates(uncombined, parallel);
 }
 
+TEST(ParallelDeterminismTest, MultiReducerCombineAndPartitionIdentical)
+{
+    // Map-side interning, combining and partitioning across three
+    // reducers all run on pool workers; the controller then reads every
+    // reducer's keys. None of it may depend on host threads.
+    auto log = accessLog(400, 80, 23);
+    core::ApproxConfig approx;
+    approx.target_relative_error = 0.05;
+    auto run = [&](uint32_t threads) {
+        sim::Cluster cluster(sim::ClusterConfig::xeon10());
+        hdfs::NameNode nn(cluster.numServers(), 3, 8);
+        core::ApproxJobRunner runner(cluster, *log, nn);
+        mr::JobConfig config = apps::logProcessingConfig("pagepop", 80, 3);
+        config.seed = 31;
+        config.num_exec_threads = threads;
+        return runner.runAggregation(config, approx,
+                                     apps::PagePopularity::mapperFactory(),
+                                     apps::PagePopularity::kOp,
+                                     /*use_moments_combiner=*/true);
+    };
+    mr::JobResult serial = run(1);
+    mr::JobResult parallel = run(8);
+    EXPECT_GT(serial.output.size(), 3u);
+    EXPECT_GT(serial.counters.maps_dropped, 0u);
+    expectIdentical(serial, parallel);
+}
+
 TEST(ParallelDeterminismTest, ThreadCountSweepAllIdentical)
 {
     auto log = accessLog(80, 100, 17);

@@ -45,6 +45,60 @@ TEST(KeyInternerTest, EmptyKeyIsAValidKey)
     EXPECT_EQ(interner.intern(""), id);
 }
 
+TEST(KeyInternerTest, EmbeddedNulBytesArePartOfTheKey)
+{
+    KeyInterner interner;
+    const std::string a("a\0b", 3);
+    const std::string a_prefix("a\0", 2);
+    uint32_t ia = interner.intern(a);
+    uint32_t ip = interner.intern(a_prefix);
+    uint32_t ib = interner.intern("a");
+    EXPECT_EQ(interner.size(), 3u);
+    EXPECT_NE(ia, ip);
+    EXPECT_NE(ip, ib);
+    EXPECT_EQ(interner.key(ia), a);
+    EXPECT_EQ(interner.key(ip), a_prefix);
+    EXPECT_EQ(interner.key(ib), "a");
+    EXPECT_EQ(interner.intern(a), ia);
+    EXPECT_EQ(interner.intern(a_prefix), ip);
+}
+
+TEST(KeyInternerTest, EmptyKeyBetweenNonEmptyKeys)
+{
+    // An empty key occupies no arena bytes: its neighbours' bounds must
+    // still come out right.
+    KeyInterner interner;
+    EXPECT_EQ(interner.intern("left"), 0u);
+    EXPECT_EQ(interner.intern(""), 1u);
+    EXPECT_EQ(interner.intern("right"), 2u);
+    EXPECT_EQ(interner.key(0), "left");
+    EXPECT_EQ(interner.key(1), "");
+    EXPECT_EQ(interner.key(2), "right");
+    EXPECT_EQ(interner.intern(""), 1u);
+}
+
+TEST(KeyInternerTest, HundredThousandKeysRoundTrip)
+{
+    // Many arena reallocations and probe-table rehashes: every id stays
+    // dense in first-seen order and every key reads back intact.
+    KeyInterner interner(2);
+    constexpr uint32_t kKeys = 100000;
+    auto keyFor = [](uint32_t i) {
+        return "key/" + std::to_string(i * 2654435761u) +
+               std::string(i % 7, 'x');
+    };
+    for (uint32_t i = 0; i < kKeys; ++i) {
+        ASSERT_EQ(interner.intern(keyFor(i)), i);
+    }
+    EXPECT_EQ(interner.size(), kKeys);
+    EXPECT_GE(interner.slotCount(), size_t{kKeys});
+    for (uint32_t i = 0; i < kKeys; ++i) {
+        ASSERT_EQ(interner.key(i), keyFor(i)) << i;
+        ASSERT_EQ(interner.intern(keyFor(i)), i) << i;
+    }
+    EXPECT_EQ(interner.size(), kKeys);
+}
+
 TEST(KeyInternerTest, CollisionsProbeInsteadOfClobbering)
 {
     // A 2-slot table makes every second insertion collide immediately;
