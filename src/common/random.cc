@@ -1,5 +1,6 @@
 #include "common/random.h"
 
+#include <bit>
 #include <cassert>
 #include <charconv>
 #include <iterator>
@@ -34,6 +35,62 @@ Mt19937_64::twistFrom(size_t from)
         x_[k] = twistWord(x_[k], x_[k + 1], x_[k - kShift]);
     }
     x_[k] = twistWord(x_[k], x_[0], x_[k - kShift]);
+}
+
+template <size_t kLanes>
+void
+Mt19937_64::seedLanes(Mt19937_64* const* group, size_t last)
+{
+    static_assert(kLanes <= 8, "the lane loop's unroll pragma covers 8");
+    Mt19937_64* lanes[kLanes];
+    uint64_t word[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) {
+        lanes[l] = group[l];
+        word[l] = lanes[l]->x_[0];
+    }
+    for (size_t i = 1; i <= last; ++i) {
+        // Fully unrolled, so each lane stays a scalar register. Left to
+        // itself, gcc's -O2 vectorizer emulates the 64-bit multiply on
+        // SSE2 lanes, which is slower than seeding one engine at a time.
+#pragma GCC unroll 8
+        for (size_t l = 0; l < kLanes; ++l) {
+            word[l] = seedWord(word[l], i);
+            lanes[l]->x_[i] = word[l];
+        }
+    }
+    for (size_t l = 0; l < kLanes; ++l) {
+        lanes[l]->seeded_ = last + 1;
+    }
+}
+
+void
+Mt19937_64::seedInLockstep(Mt19937_64* const* engines, size_t count,
+                           size_t last)
+{
+    assert(last < kStateWords);
+    for (size_t i = 0; i < count; ++i) {
+        assert(engines[i]->seeded_ == 1);
+    }
+    size_t done = 0;
+    for (; done + kLockstepLanes <= count; done += kLockstepLanes) {
+        seedLanes<kLockstepLanes>(engines + done, last);
+    }
+    size_t left = count - done;
+    if (left == 0) {
+        return;
+    }
+    // Pad the remainder by repeating its last engine: a repeated lane
+    // writes the same words to the same engine. Half a group costs about
+    // one lone engine's chain, so a short remainder takes the half group.
+    Mt19937_64* group[kLockstepLanes];
+    for (size_t l = 0; l < kLockstepLanes; ++l) {
+        group[l] = engines[done + std::min(l, left - 1)];
+    }
+    if (left <= kLockstepLanes / 2) {
+        seedLanes<kLockstepLanes / 2>(group, last);
+    } else {
+        seedLanes<kLockstepLanes>(group, last);
+    }
 }
 
 std::ostream&
@@ -119,25 +176,53 @@ Rng::exponential(double rate)
 Rng
 Rng::derive(uint64_t stream)
 {
-    uint64_t base = engine_();
+    return derived(engine_(), stream);
+}
+
+Rng
+Rng::derived(uint64_t base, uint64_t stream)
+{
     return Rng(splitmix64(base ^ splitmix64(stream)));
+}
+
+std::vector<uint64_t>
+Rng::floyd(uint64_t n, uint64_t k, std::vector<uint64_t>* order)
+{
+    assert(k <= n);
+    // Floyd's algorithm: k iterations, each adding exactly one new element.
+    std::vector<uint64_t> chosen((n + 63) / 64);
+    for (uint64_t j = n - k; j < n; ++j) {
+        uint64_t t = uniformInt(j + 1);
+        if ((chosen[t / 64] >> (t % 64)) & 1) {
+            t = j;
+        }
+        chosen[t / 64] |= uint64_t{1} << (t % 64);
+        if (order != nullptr) {
+            order->push_back(t);
+        }
+    }
+    return chosen;
 }
 
 std::vector<uint64_t>
 Rng::sampleWithoutReplacement(uint64_t n, uint64_t k)
 {
-    assert(k <= n);
-    // Floyd's algorithm: k iterations, each adding exactly one new element.
-    std::vector<bool> chosen(n);
     std::vector<uint64_t> result;
     result.reserve(k);
-    for (uint64_t j = n - k; j < n; ++j) {
-        uint64_t t = uniformInt(j + 1);
-        if (chosen[t]) {
-            t = j;
+    floyd(n, k, &result);
+    return result;
+}
+
+std::vector<uint64_t>
+Rng::sortedSampleWithoutReplacement(uint64_t n, uint64_t k)
+{
+    std::vector<uint64_t> chosen = floyd(n, k, nullptr);
+    std::vector<uint64_t> result;
+    result.reserve(k);
+    for (size_t w = 0; w < chosen.size(); ++w) {
+        for (uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+            result.push_back(w * 64 + std::countr_zero(bits));
         }
-        chosen[t] = true;
-        result.push_back(t);
     }
     return result;
 }

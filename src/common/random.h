@@ -76,10 +76,27 @@ class Mt19937_64
     /** Prints the state exactly as std::mt19937_64's operator<< does. */
     friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
 
-  private:
-    static constexpr size_t kStateWords = 312;
     /** The twist's middle distance m (n/2 for the 64-bit engine). */
     static constexpr size_t kShift = 156;
+    /** Engines seedInLockstep() advances together. */
+    static constexpr size_t kLockstepLanes = 8;
+
+    /**
+     * Runs the seeding recurrence of @p count fresh engines (nothing
+     * drawn yet) through word @p last < 312, kLockstepLanes engines at a
+     * time in lock step.
+     *
+     * One engine's recurrence is a dependent multiply chain, so a lone
+     * first draw (which needs word 156) waits on 156 multiplies in a
+     * row; interleaving independent engines lets the CPU overlap them.
+     * Each engine stays lazy with its recurrence computed through
+     * @p last, so every later draw and operator<< is unchanged.
+     */
+    static void seedInLockstep(Mt19937_64* const* engines, size_t count,
+                               size_t last);
+
+  private:
+    static constexpr size_t kStateWords = 312;
 
     static uint64_t
     twistWord(uint64_t word, uint64_t next, uint64_t far)
@@ -98,16 +115,25 @@ class Mt19937_64
         return z ^ (z >> 43);
     }
 
+    /** Word @p i of the seeding recurrence, from word i - 1. */
+    static uint64_t
+    seedWord(uint64_t prev, size_t i)
+    {
+        return 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+
     /** Runs the seeding recurrence up to and including word @p last. */
     void
     seedThrough(size_t last)
     {
         for (; seeded_ <= last; ++seeded_) {
-            uint64_t prev = x_[seeded_ - 1];
-            x_[seeded_] =
-                6364136223846793005ULL * (prev ^ (prev >> 62)) + seeded_;
+            x_[seeded_] = seedWord(x_[seeded_ - 1], seeded_);
         }
     }
+
+    /** seedInLockstep() for exactly @p kLanes fresh engines. */
+    template <size_t kLanes>
+    static void seedLanes(Mt19937_64* const* group, size_t last);
 
     /** Finishes the lazy first block: the rest of the seeding, then the
      *  rest of the first twist (none when nothing has been drawn yet). */
@@ -170,11 +196,26 @@ class Rng
     Rng derive(uint64_t stream);
 
     /**
+     * The child derive(@p stream) returns when this generator's next raw
+     * engine draw is @p base. A parent used only for its first draw
+     * (Rng(seed).derive(s) per task) can take that draw once and derive
+     * every child from it.
+     */
+    static Rng derived(uint64_t base, uint64_t stream);
+
+    /**
      * Samples @p k distinct indices uniformly from [0, n) with k draws
      * (Floyd's algorithm; membership is an n-bit bitmap). The result is
      * not sorted: its order is part of the draw sequence.
      */
     std::vector<uint64_t> sampleWithoutReplacement(uint64_t n, uint64_t k);
+
+    /**
+     * The same draws and indices as sampleWithoutReplacement(n, k), in
+     * ascending order: read off the membership bitmap, not sorted.
+     */
+    std::vector<uint64_t> sortedSampleWithoutReplacement(uint64_t n,
+                                                         uint64_t k);
 
     /** Shuffles @p values in place (Fisher-Yates). */
     template <typename T>
@@ -191,6 +232,14 @@ class Rng
     Mt19937_64& engine() { return engine_; }
 
   private:
+    /**
+     * Floyd's k draws over [0, n). Returns the membership bitmap (bit i
+     * of word i / 64 set when i is chosen) and, when @p order is not
+     * null, appends each chosen index to it in draw order.
+     */
+    std::vector<uint64_t> floyd(uint64_t n, uint64_t k,
+                                std::vector<uint64_t>* order);
+
     Mt19937_64 engine_;
 };
 

@@ -1,5 +1,6 @@
 #include "common/zipf.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -13,28 +14,6 @@ ZipfDistribution::ZipfDistribution(uint64_t num_elements, double exponent)
     h_x1_ = h(1.5) - 1.0;
     h_num_elements_ = h(static_cast<double>(num_elements) + 0.5);
     s_ = 2.0 - hInverse(h(2.5) - std::pow(2.0, -exponent));
-    normalizer_ = 0.0;
-    // The exact normalizer is only needed by pmf(); cap the summation so
-    // constructing huge distributions stays cheap. Beyond the cap we use the
-    // integral tail, which is accurate to ~1e-9 for the sizes we test.
-    const uint64_t kExactCap = 10'000'000;
-    uint64_t exact = std::min(num_elements, kExactCap);
-    for (uint64_t k = 1; k <= exact; ++k) {
-        normalizer_ += std::pow(static_cast<double>(k), -exponent);
-    }
-    if (num_elements > exact) {
-        // Integral approximation of sum_{k=exact+1}^{N} k^-s.
-        if (exponent == 1.0) {
-            normalizer_ += std::log(static_cast<double>(num_elements) /
-                                    static_cast<double>(exact));
-        } else {
-            double a = std::pow(static_cast<double>(exact) + 0.5,
-                                1.0 - exponent);
-            double b = std::pow(static_cast<double>(num_elements) + 0.5,
-                                1.0 - exponent);
-            normalizer_ += (b - a) / (1.0 - exponent);
-        }
-    }
 }
 
 double
@@ -82,7 +61,28 @@ double
 ZipfDistribution::pmf(uint64_t r) const
 {
     assert(r < num_elements_);
-    return std::pow(static_cast<double>(r + 1), -exponent_) / normalizer_;
+    // The exact sum up to a cap, then the integral tail, which is
+    // accurate to ~1e-9 for the sizes the tests use.
+    const uint64_t kExactCap = 10'000'000;
+    uint64_t exact = std::min(num_elements_, kExactCap);
+    double normalizer = 0.0;
+    for (uint64_t k = 1; k <= exact; ++k) {
+        normalizer += std::pow(static_cast<double>(k), -exponent_);
+    }
+    if (num_elements_ > exact) {
+        // Integral approximation of sum_{k=exact+1}^{N} k^-s.
+        if (exponent_ == 1.0) {
+            normalizer += std::log(static_cast<double>(num_elements_) /
+                                   static_cast<double>(exact));
+        } else {
+            double a = std::pow(static_cast<double>(exact) + 0.5,
+                                1.0 - exponent_);
+            double b = std::pow(static_cast<double>(num_elements_) + 0.5,
+                                1.0 - exponent_);
+            normalizer += (b - a) / (1.0 - exponent_);
+        }
+    }
+    return std::pow(static_cast<double>(r + 1), -exponent_) / normalizer;
 }
 
 }  // namespace approxhadoop

@@ -31,7 +31,10 @@ class ZipfDistribution
     /** Draws one rank in [0, N). */
     uint64_t sample(Rng& rng) const;
 
-    /** Exact probability of rank @p r (for tests and analysis). */
+    /**
+     * Exact probability of rank @p r. O(N): it sums the normalizer on
+     * every call, so it is for tests only; sampling never needs it.
+     */
     double pmf(uint64_t r) const;
 
     uint64_t numElements() const { return num_elements_; }
@@ -48,7 +51,6 @@ class ZipfDistribution
     double h_x1_;
     double h_num_elements_;
     double s_;
-    double normalizer_;  // sum of 1/k^s for pmf()
 };
 
 }  // namespace approxhadoop

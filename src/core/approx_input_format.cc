@@ -20,10 +20,7 @@ ApproxTextInputFormat::select(uint64_t /*block*/, uint64_t block_items,
         std::llround(sampling_ratio * static_cast<double>(block_items)));
     m = std::clamp<uint64_t>(m, std::min(min_items_, block_items),
                              block_items);
-    std::vector<uint64_t> sample = rng.sampleWithoutReplacement(block_items,
-                                                                m);
-    std::sort(sample.begin(), sample.end());
-    return sample;
+    return rng.sortedSampleWithoutReplacement(block_items, m);
 }
 
 }  // namespace approxhadoop::core

@@ -14,13 +14,32 @@ constexpr uint64_t kCorruptSalt = 0xC0221791C0221791ULL;
 constexpr uint64_t kBadRecordSalt = 0xBADCAFEBADCAFE01ULL;
 constexpr uint64_t kReduceSalt = 0x2ED0C5ED2ED0C5EDULL;
 
+/** Rng(@p seed)'s first raw draw, which every Rng(seed).derive() reads. */
+uint64_t
+firstDraw(uint64_t seed)
+{
+    return Rng(seed).engine()();
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(const FaultPlan& plan, uint64_t job_seed)
-    : plan_(plan),
-      root_seed_(splitmix64(job_seed ^ 0xFA17F417FA17F417ULL) ^
-                 splitmix64(plan.seed))
+    : plan_(plan)
 {
+    uint64_t root = splitmix64(job_seed ^ 0xFA17F417FA17F417ULL) ^
+                    splitmix64(plan.seed);
+    if (plan_.enabled()) {
+        attempt_draw_ = firstDraw(root);
+    }
+    if (plan_.chunk_corrupt_prob > 0.0) {
+        corrupt_draw_ = firstDraw(root ^ kCorruptSalt);
+    }
+    if (plan_.bad_record_prob > 0.0) {
+        bad_record_draw_ = firstDraw(root ^ kBadRecordSalt);
+    }
+    if (plan_.reduce_crash_prob > 0.0) {
+        reduce_draw_ = firstDraw(root ^ kReduceSalt);
+    }
 }
 
 FaultInjector::AttemptFate
@@ -31,7 +50,8 @@ FaultInjector::attemptFate(uint64_t task_id, uint64_t attempt_index) const
         return fate;
     }
     // A fresh stream per (task, attempt): immune to query order.
-    Rng rng = Rng(root_seed_).derive(task_id * 0x10001ULL + attempt_index);
+    Rng rng =
+        Rng::derived(attempt_draw_, task_id * 0x10001ULL + attempt_index);
     if (plan_.task_crash_prob > 0.0 &&
         rng.bernoulli(plan_.task_crash_prob)) {
         fate.crashes = true;
@@ -56,10 +76,10 @@ FaultInjector::chunkCorrupted(uint64_t task_id, uint32_t partition,
     if (plan_.chunk_corrupt_prob <= 0.0) {
         return false;
     }
-    Rng rng = Rng(root_seed_ ^ kCorruptSalt)
-                  .derive(splitmix64(task_id * 0x9E3779B97F4A7C15ULL +
-                                     partition) +
-                          fetch);
+    Rng rng = Rng::derived(corrupt_draw_,
+                           splitmix64(task_id * 0x9E3779B97F4A7C15ULL +
+                                      partition) +
+                               fetch);
     return rng.bernoulli(plan_.chunk_corrupt_prob);
 }
 
@@ -69,8 +89,7 @@ FaultInjector::recordBad(uint64_t task_id, uint64_t item_index) const
     if (plan_.bad_record_prob <= 0.0) {
         return false;
     }
-    Rng rng = Rng(root_seed_ ^ kBadRecordSalt)
-                  .derive(splitmix64(task_id) + item_index);
+    Rng rng = Rng::derived(bad_record_draw_, splitmix64(task_id) + item_index);
     return rng.bernoulli(plan_.bad_record_prob);
 }
 
@@ -82,8 +101,8 @@ FaultInjector::reduceAttemptFate(uint64_t reducer_id,
     if (plan_.reduce_crash_prob <= 0.0) {
         return fate;
     }
-    Rng rng = Rng(root_seed_ ^ kReduceSalt)
-                  .derive(reducer_id * 0x10001ULL + attempt_index);
+    Rng rng = Rng::derived(reduce_draw_,
+                           reducer_id * 0x10001ULL + attempt_index);
     if (rng.bernoulli(plan_.reduce_crash_prob)) {
         fate.crashes = true;
         fate.crash_fraction = rng.uniform(0.05, 0.95);

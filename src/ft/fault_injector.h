@@ -90,8 +90,17 @@ class FaultInjector
 
   private:
     FaultPlan plan_;
-    /** Mixed (job seed, plan seed) root for per-attempt streams. */
-    uint64_t root_seed_;
+    /**
+     * First raw draws of the per-attempt, corruption, bad-record and
+     * reduce-crash root streams, seeded from the mixed (job seed, plan
+     * seed) root, or 0 where the plan never queries that stream. Each
+     * query's stream is Rng::derived from one of them, so a query seeds
+     * one engine instead of two.
+     */
+    uint64_t attempt_draw_ = 0;
+    uint64_t corrupt_draw_ = 0;
+    uint64_t bad_record_draw_ = 0;
+    uint64_t reduce_draw_ = 0;
 };
 
 }  // namespace approxhadoop::ft

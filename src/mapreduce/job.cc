@@ -266,7 +266,8 @@ Job::Job(sim::Cluster& cluster, const hdfs::BlockDataset& dataset,
       config_(std::move(config)),
       input_format_(std::make_shared<TextInputFormat>()),
       partitioner_(std::make_shared<HashPartitioner>()),
-      rng_(config_.seed), injector_(config_.fault_plan, config_.seed)
+      rng_(config_.seed), seed_draw_(Rng(config_.seed).engine()()),
+      injector_(config_.fault_plan, config_.seed)
 {
     if (config_.num_reducers == 0) {
         throw std::invalid_argument("job needs at least one reducer");
@@ -709,7 +710,7 @@ Job::startAttempt(uint64_t task_id, uint32_t server, bool local)
             // The sample is fixed per task (not per attempt) so
             // speculative duplicates and retries compute the identical
             // result.
-            Rng sample_rng = Rng(config_.seed).derive(0x5A5A + task_id);
+            Rng sample_rng = Rng::derived(seed_draw_, 0x5A5A + task_id);
             exec.sample = input_format_->select(
                 task_id, task.items_total, task.sampling_ratio, sample_rng);
         }
@@ -1562,7 +1563,7 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
     // not depend on scheduling order, speculation, or which thread runs
     // the computation.
     MapContext ctx(task_id, items_total, good.size(), approximate,
-                   Rng(config_.seed).derive(0xA11CE + task_id));
+                   Rng::derived(seed_draw_, 0xA11CE + task_id));
     mapper->setup(ctx);
     // Batched execution: the task's records are materialized with one
     // readItems call into a reusable arena — a full-block read there is
@@ -1830,9 +1831,9 @@ Job::fetchVerified(uint64_t task_id, std::vector<MapOutputChunk>& chunks)
                 // Damage a copy and genuinely verify it: the checksum
                 // must catch the injected bit flip, not be assumed to.
                 MapOutputChunk damaged = chunks[r];
-                Rng rng = Rng(config_.seed)
-                              .derive(0xC0FFEE + task_id * 1315423911ULL +
-                                      r * 2654435761ULL + fetch_no);
+                Rng rng = Rng::derived(seed_draw_,
+                                       0xC0FFEE + task_id * 1315423911ULL +
+                                           r * 2654435761ULL + fetch_no);
                 integrity::corruptChunk(damaged, rng);
                 assert(!integrity::verifyChunk(damaged));
                 ++counters_.chunks_corrupted;

@@ -611,6 +611,12 @@ class Job
     journal::EpochSink* epoch_sink_ = nullptr;
 
     Rng rng_;
+    /**
+     * The first raw draw of Rng(config_.seed), taken once: the per-task
+     * streams (sample, map context, chunk corruption) are
+     * Rng::derived(seed_draw_, stream), i.e. Rng(config_.seed).derive().
+     */
+    uint64_t seed_draw_;
     uint64_t first_block_ = 0;
     ft::FaultInjector injector_;
 

@@ -1,6 +1,8 @@
 #include "workloads/access_log.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "common/zipf.h"
@@ -10,28 +12,50 @@ namespace approxhadoop::workloads {
 
 namespace {
 
+/** The project and page of one of a block's trending pages. */
+struct TrendingPage
+{
+    uint64_t project;
+    uint64_t page;
+};
+
+/** Trending page @p t of @p block, drawn from a stream of its own:
+ *  the project, then the page (frozen like the record streams). */
+TrendingPage
+drawTrendingPage(const AccessLogParams& p,
+                 const ZipfDistribution& project_zipf,
+                 const ZipfDistribution& page_zipf, uint64_t block,
+                 uint64_t t)
+{
+    Rng trend_rng(splitmix64(p.seed * 977 + block * 17 + t));
+    TrendingPage trending;
+    trending.project = project_zipf.sample(trend_rng);
+    trending.page = page_zipf.sample(trend_rng);
+    return trending;
+}
+
 /**
- * Appends one access-log record. The per-record RNG stream and the
- * output bytes are frozen (see wiki_dump.cc). The former per-record
- * block RNG was constructed but never drawn from, so no record byte ever
- * depended on it; it is gone entirely.
+ * Appends one access-log record, drawing from @p rng, the record's fresh
+ * Rng(recordSeed(p.seed, block, index)); @p trending(t) yields the
+ * block's trending page t. The per-record RNG stream and the output
+ * bytes are frozen (see wiki_dump.cc). The former per-record block RNG
+ * was constructed but never drawn from, so no record byte ever depended
+ * on it; it is gone entirely.
  */
+template <typename Trending>
 void
 appendAccessLogRecord(const AccessLogParams& p,
                       const ZipfDistribution& project_zipf,
                       const ZipfDistribution& page_zipf, uint64_t block,
-                      uint64_t index, std::string& out)
+                      Rng& rng, Trending&& trending, std::string& out)
 {
-    Rng rng(splitmix64(p.seed ^ (block * 0x9E3779B1ULL + index)));
-
     uint64_t project;
     uint64_t page;
     if (rng.bernoulli(p.trending_prob)) {
         // Temporal locality: this block's trending pages.
-        uint64_t t = rng.uniformInt(p.trending_pages);
-        Rng trend_rng(splitmix64(p.seed * 977 + block * 17 + t));
-        project = project_zipf.sample(trend_rng);
-        page = page_zipf.sample(trend_rng);
+        TrendingPage hit = trending(rng.uniformInt(p.trending_pages));
+        project = hit.project;
+        page = hit.page;
     } else {
         project = project_zipf.sample(rng);
         page = page_zipf.sample(rng);
@@ -66,18 +90,38 @@ makeAccessLog(const AccessLogParams& params)
     auto generator = [p, project_zipf, page_zipf](uint64_t block,
                                                   uint64_t index) {
         std::string out;
-        appendAccessLogRecord(p, *project_zipf, *page_zipf, block, index,
-                              out);
+        Rng rng(recordSeed(p.seed, block, index));
+        appendAccessLogRecord(
+            p, *project_zipf, *page_zipf, block, rng,
+            [&](uint64_t t) {
+                return drawTrendingPage(p, *project_zipf, *page_zipf, block,
+                                        t);
+            },
+            out);
         return out;
     };
     auto block_generator = [p, project_zipf, page_zipf](
                                uint64_t block, const uint64_t* indices,
                                size_t count, hdfs::RecordBuffer& out) {
-        for (size_t i = 0; i < count; ++i) {
-            appendAccessLogRecord(p, *project_zipf, *page_zipf, block,
-                                  indices[i], out.bytes());
-            out.endRecord();
-        }
+        // Every trending record of the block reads one of its few
+        // trending pages: draw each once per call, not once per record.
+        std::vector<std::pair<uint64_t, TrendingPage>> drawn;
+        auto trending = [&](uint64_t t) {
+            for (const auto& [drawn_t, page] : drawn) {
+                if (drawn_t == t) {
+                    return page;
+                }
+            }
+            drawn.emplace_back(t, drawTrendingPage(p, *project_zipf,
+                                                   *page_zipf, block, t));
+            return drawn.back().second;
+        };
+        appendSeededRecords(
+            p.seed, block, indices, count, out,
+            [&](Rng& rng, uint64_t /*index*/, std::string& bytes) {
+                appendAccessLogRecord(p, *project_zipf, *page_zipf, block,
+                                      rng, trending, bytes);
+            });
     };
     return std::make_unique<hdfs::GeneratedDataset>(
         p.num_blocks, p.entries_per_block, generator, block_generator,

@@ -56,17 +56,17 @@ sampleBrowser(Rng& rng)
 }
 
 /**
- * Appends one web-server log record. RNG stream and output bytes are
- * frozen (see wiki_dump.cc).
+ * Appends one web-server log record, drawing from @p rng, the record's
+ * fresh Rng(recordSeed(p.seed, block, index)). RNG stream and output
+ * bytes are frozen (see wiki_dump.cc).
  */
 void
 appendWebLogRecord(const WebServerLogParams& p,
                    const ZipfDistribution& client_zipf,
                    const ZipfDistribution& url_zipf,
-                   const ZipfDistribution& attacker_zipf, uint64_t block,
-                   uint64_t index, std::string& out)
+                   const ZipfDistribution& attacker_zipf, Rng& rng,
+                   std::string& out)
 {
-    Rng rng(splitmix64(p.seed ^ (block * 0x9E3779B1ULL + index)));
     uint32_t hour = sampleHour(rng);
     bool attack = rng.bernoulli(p.attack_prob);
     uint64_t client = attack
@@ -106,18 +106,20 @@ makeWebServerLog(const WebServerLogParams& params)
     auto generator = [p, client_zipf, url_zipf, attacker_zipf](
                          uint64_t block, uint64_t index) {
         std::string out;
-        appendWebLogRecord(p, *client_zipf, *url_zipf, *attacker_zipf,
-                           block, index, out);
+        Rng rng(recordSeed(p.seed, block, index));
+        appendWebLogRecord(p, *client_zipf, *url_zipf, *attacker_zipf, rng,
+                           out);
         return out;
     };
     auto block_generator = [p, client_zipf, url_zipf, attacker_zipf](
                                uint64_t block, const uint64_t* indices,
                                size_t count, hdfs::RecordBuffer& out) {
-        for (size_t i = 0; i < count; ++i) {
-            appendWebLogRecord(p, *client_zipf, *url_zipf, *attacker_zipf,
-                               block, indices[i], out.bytes());
-            out.endRecord();
-        }
+        appendSeededRecords(
+            p.seed, block, indices, count, out,
+            [&](Rng& rng, uint64_t /*index*/, std::string& bytes) {
+                appendWebLogRecord(p, *client_zipf, *url_zipf,
+                                   *attacker_zipf, rng, bytes);
+            });
     };
     return std::make_unique<hdfs::GeneratedDataset>(
         p.num_weeks, p.entries_per_week, generator, block_generator, 140);

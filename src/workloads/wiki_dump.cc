@@ -22,19 +22,18 @@ wikiBlockEffect(const WikiDumpParams& p, uint64_t block)
 }
 
 /**
- * Appends one dump record. The per-record RNG stream (engine seed and
- * draw order) and the output bytes are frozen: changing either changes
- * the dataset and therefore every committed expectation downstream.
+ * Appends one dump record, drawing from @p rng, the record's fresh
+ * Rng(recordSeed(p.seed, block, index)). That per-record stream (engine
+ * seed and draw order) and the output bytes are frozen: changing either
+ * changes the dataset and therefore every committed expectation
+ * downstream. A stream per record keeps the data identical regardless
+ * of which tasks run or in which order.
  */
 void
 appendWikiRecord(const WikiDumpParams& p, const ZipfDistribution& zipf,
                  uint64_t block, uint64_t index, double block_effect,
-                 std::string& out)
+                 Rng& rng, std::string& out)
 {
-    // Deterministic per-record randomness: identical data regardless
-    // of which tasks run or in which order.
-    Rng rng(splitmix64(p.seed ^ (block * 0x9E3779B1ULL + index)));
-
     uint64_t article_id = block * p.articles_per_block + index;
     double size = rng.lognormal(p.size_mu, p.size_sigma) * block_effect;
     uint64_t size_bytes = static_cast<uint64_t>(std::llround(size)) + 1;
@@ -70,23 +69,25 @@ makeWikiDump(const WikiDumpParams& params)
     WikiDumpParams p = params;
     auto generator = [p, zipf](uint64_t block, uint64_t index) {
         std::string out;
+        Rng rng(recordSeed(p.seed, block, index));
         appendWikiRecord(p, *zipf, block, index, wikiBlockEffect(p, block),
-                         out);
+                         rng, out);
         return out;
     };
     // Batched synthesis draws the block-effect multiplier once per block
     // instead of once per record (one seeded Rng stream fewer per record;
     // the multiplier has a stream of its own, so hoisting it leaves every
-    // record byte-identical).
+    // record byte-identical), and seeds the records' Rngs in lock step.
     auto block_generator = [p, zipf](uint64_t block,
                                      const uint64_t* indices, size_t count,
                                      hdfs::RecordBuffer& out) {
         double block_effect = wikiBlockEffect(p, block);
-        for (size_t i = 0; i < count; ++i) {
-            appendWikiRecord(p, *zipf, block, indices[i], block_effect,
-                             out.bytes());
-            out.endRecord();
-        }
+        appendSeededRecords(
+            p.seed, block, indices, count, out,
+            [&](Rng& rng, uint64_t index, std::string& bytes) {
+                appendWikiRecord(p, *zipf, block, index, block_effect, rng,
+                                 bytes);
+            });
     };
     return std::make_unique<hdfs::GeneratedDataset>(
         p.num_blocks, p.articles_per_block, generator, block_generator,

@@ -8,6 +8,7 @@
  * replay in the chaos oracle — any divergence here is a determinism
  * bug, not a perf tradeoff.
  */
+#include <iterator>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -22,6 +23,7 @@
 #include "common/random.h"
 #include "hdfs/dataset.h"
 #include "hdfs/namenode.h"
+#include "integrity/checksum.h"
 #include "mapreduce/combiner.h"
 #include "mapreduce/job.h"
 #include "mapreduce/mapper.h"
@@ -29,6 +31,9 @@
 #include "mapreduce/reducer.h"
 #include "mapreduce/types.h"
 #include "sim/cluster.h"
+#include "workloads/access_log.h"
+#include "workloads/webserver_log.h"
+#include "workloads/wiki_dump.h"
 
 namespace approxhadoop {
 namespace {
@@ -228,6 +233,33 @@ TEST_P(MapBatchEquivalence, ReadItemsMatchesItem)
     auto data = w->make_dataset(kBlocks, kItems, kSeed);
 
     for (uint64_t block = 0; block < kBlocks; ++block) {
+        // The per-record bytes, taken before any read of the block: once
+        // a full-block read has cached it, item() serves the cached bytes.
+        std::vector<std::string> expected;
+        for (uint64_t i = 0; i < kItems; ++i) {
+            expected.push_back(data->item(block, i));
+        }
+
+        // Sparse samples (lazy path), out of order: a short one, and 19
+        // indices, which the generators seed as two full lock-step groups
+        // of 8 and a remainder of 3. At seed 42 the access-log records
+        // 17 and 23 of block 0 and 8, 17 and 22 of block 2 hit the same
+        // trending page of their block, which one read draws once.
+        const std::vector<std::vector<uint64_t>> samples = {
+            {kItems - 1, 0, kItems / 2},
+            {31, 17, 0, 23, 5, 9, 30, 12, 2, 27, 8, 21, 14, 22, 3, 19, 26, 11,
+             6},
+        };
+        for (const std::vector<uint64_t>& sparse : samples) {
+            hdfs::RecordBuffer sampled;
+            data->readItems(block, sparse.data(), sparse.size(), sampled);
+            ASSERT_EQ(sampled.size(), sparse.size());
+            for (size_t i = 0; i < sparse.size(); ++i) {
+                EXPECT_EQ(std::string(sampled.record(i)), expected[sparse[i]])
+                    << "block " << block << " index " << sparse[i];
+            }
+        }
+
         // Full block (whole-block synthesis + cache path).
         std::vector<uint64_t> all(kItems);
         std::iota(all.begin(), all.end(), 0);
@@ -235,19 +267,8 @@ TEST_P(MapBatchEquivalence, ReadItemsMatchesItem)
         data->readItems(block, all.data(), all.size(), full);
         ASSERT_EQ(full.size(), kItems);
         for (uint64_t i = 0; i < kItems; ++i) {
-            EXPECT_EQ(std::string(full.record(i)), data->item(block, i))
+            EXPECT_EQ(std::string(full.record(i)), expected[i])
                 << "block " << block << " index " << i;
-        }
-
-        // Sparse sample (lazy path), including out-of-order indices.
-        std::vector<uint64_t> sparse = {kItems - 1, 0, kItems / 2};
-        hdfs::RecordBuffer sampled;
-        data->readItems(block, sparse.data(), sparse.size(), sampled);
-        ASSERT_EQ(sampled.size(), sparse.size());
-        for (size_t i = 0; i < sparse.size(); ++i) {
-            EXPECT_EQ(std::string(sampled.record(i)),
-                      data->item(block, sparse[i]))
-                << "block " << block << " index " << sparse[i];
         }
     }
 }
@@ -268,6 +289,65 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<WorkloadCase>& info) {
         return info.param.name;
     });
+
+/** XXH64 over @p blocks x @p items records of @p data, in block order,
+ *  each record followed by a newline; read through readItems when
+ *  @p batched, through item() otherwise. */
+uint64_t
+recordsDigest(const hdfs::BlockDataset& data, uint64_t blocks,
+              uint64_t items, bool batched)
+{
+    integrity::Hasher64 h;
+    std::vector<uint64_t> all(items);
+    std::iota(all.begin(), all.end(), 0);
+    for (uint64_t block = 0; block < blocks; ++block) {
+        hdfs::RecordBuffer records;
+        if (batched) {
+            data.readItems(block, all.data(), all.size(), records);
+        }
+        for (uint64_t i = 0; i < items; ++i) {
+            h.update(batched ? records.record(i)
+                             : std::string_view(data.item(block, i)));
+            h.update(std::string_view("\n"));
+        }
+    }
+    return h.digest();
+}
+
+// The record bytes of the three generators that synthesize the paper's
+// inputs, at their default seeds. Every committed expectation downstream
+// (bench digests, sim_* baselines) rests on these bytes, so a change to
+// a record stream or its format fails here first.
+TEST(GeneratedRecords, WorkloadRecordsArePinned)
+{
+    constexpr uint64_t kPinBlocks = 3;
+    constexpr uint64_t kPinItems = 64;
+    workloads::WikiDumpParams wiki;
+    wiki.num_blocks = kPinBlocks;
+    wiki.articles_per_block = kPinItems;
+    workloads::AccessLogParams access;
+    access.num_blocks = kPinBlocks;
+    access.entries_per_block = kPinItems;
+    workloads::WebServerLogParams web;
+    web.num_weeks = kPinBlocks;
+    web.entries_per_week = kPinItems;
+    const std::pair<const char*, std::unique_ptr<hdfs::BlockDataset>>
+        datasets[] = {{"wiki", workloads::makeWikiDump(wiki)},
+                      {"access", workloads::makeAccessLog(access)},
+                      {"webserver", workloads::makeWebServerLog(web)}};
+    const uint64_t kPinned[] = {9411709844207717799ULL,
+                                5713565469007367553ULL,
+                                15218024976493733171ULL};
+    for (size_t d = 0; d < std::size(datasets); ++d) {
+        const auto& [name, data] = datasets[d];
+        EXPECT_EQ(recordsDigest(*data, kPinBlocks, kPinItems, false),
+                  kPinned[d])
+            << name << " (item)";
+        EXPECT_EQ(recordsDigest(*data, kPinBlocks, kPinItems, true),
+                  kPinned[d])
+            << name << " (readItems)";
+    }
+}
 
 // The default mapBatch (base-class loop) must also match, independent of
 // any app override — covers mappers that never specialize the batch hook.

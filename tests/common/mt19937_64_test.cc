@@ -8,6 +8,7 @@
  */
 #include "common/random.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <random>
 #include <set>
@@ -248,6 +249,82 @@ TEST(Mt19937_64Test, EveryRngDrawMatchesTheStdReference)
     }
 }
 
+/** Each engine's raw outputs, and its text at each checkpoint of the lazy
+ *  block, against std::mt19937_64 seeded alike. */
+void
+expectMatchesStd(Mt19937_64& lazy, uint64_t seed, const std::string& what)
+{
+    const std::set<size_t> checkpoints = {0,   1,   155, 156, 157,
+                                          311, 312, 313, 1001};
+    std::mt19937_64 ref(seed);
+    for (size_t drawn = 0;; ++drawn) {
+        if (checkpoints.count(drawn) != 0) {
+            ASSERT_EQ(text(lazy), text(ref)) << what << " after " << drawn
+                                             << " draws";
+        }
+        if (drawn == *checkpoints.rbegin()) {
+            break;
+        }
+        ASSERT_EQ(lazy(), ref()) << what << " draw " << drawn;
+    }
+}
+
+TEST(Mt19937_64Test, LockstepSeedingMatchesStd)
+{
+    // Group sizes 0-19 give full lock-step groups of 8 and every
+    // remainder (half-group and full-group padding). The priming words
+    // are the first draw's, a few draws' worth, and the whole seeding
+    // recurrence. The combinations repeat until every test seed has
+    // seeded one engine.
+    const std::vector<uint64_t> seeds = testSeeds();
+    size_t next = 0;
+    while (next < seeds.size()) {
+        for (size_t last : {156, 160, 311}) {
+            for (size_t count = 0; count < 20; ++count) {
+                size_t n = std::min(count, seeds.size() - next);
+                std::vector<Mt19937_64> engines;
+                std::vector<Mt19937_64*> group;
+                engines.reserve(n);
+                for (size_t i = 0; i < n; ++i) {
+                    engines.emplace_back(seeds[next + i]);
+                    group.push_back(&engines.back());
+                }
+                Mt19937_64::seedInLockstep(group.data(), n, last);
+                for (size_t i = 0; i < n; ++i) {
+                    expectMatchesStd(engines[i], seeds[next + i],
+                                     "engine " + std::to_string(i) + " of " +
+                                         std::to_string(n) + " through " +
+                                         std::to_string(last));
+                }
+                next += n;
+            }
+        }
+    }
+
+    // Rngs primed in lock step draw what the std reference draws.
+    for (size_t last : {156, 160, 311}) {
+        for (int draws : {1, 20, 400}) {
+            std::vector<Rng> rngs;
+            std::vector<Mt19937_64*> group;
+            rngs.reserve(19);
+            for (uint64_t seed = 0; seed < 19; ++seed) {
+                rngs.emplace_back(seed);
+                group.push_back(&rngs.back().engine());
+            }
+            Mt19937_64::seedInLockstep(group.data(), group.size(), last);
+            for (uint64_t seed = 0; seed < 19; ++seed) {
+                ReferenceRng ref(seed);
+                drawBoth(rngs[seed], ref, draws,
+                         [&](const auto& got, const auto& want) {
+                             ASSERT_EQ(got, want)
+                                 << "seed " << seed << " through " << last
+                                 << ", " << draws << " draws";
+                         });
+            }
+        }
+    }
+}
+
 TEST(Mt19937_64Test, SampleWithoutReplacementKeepsOrderAndDistinctness)
 {
     for (uint64_t seed = 0; seed < 100; ++seed) {
@@ -261,6 +338,25 @@ TEST(Mt19937_64Test, SampleWithoutReplacementKeepsOrderAndDistinctness)
                           k);
             }
         }
+    }
+}
+
+TEST(Mt19937_64Test, SortedSampleIsTheSampleInAscendingOrder)
+{
+    // Same draws as the draw-order sample (the engine ends in the same
+    // state), read off the bitmap in order; n straddles word boundaries.
+    for (uint64_t seed = 0; seed < 100; ++seed) {
+        Rng rng(seed);
+        ReferenceRng ref(seed);
+        for (uint64_t n : {1u, 63u, 64u, 65u, 1000u}) {
+            for (uint64_t k : {uint64_t{0}, uint64_t{1}, n / 2, n}) {
+                std::vector<uint64_t> want =
+                    ref.sampleWithoutReplacement(n, k);
+                std::sort(want.begin(), want.end());
+                ASSERT_EQ(rng.sortedSampleWithoutReplacement(n, k), want);
+            }
+        }
+        ASSERT_EQ(text(rng.engine()), text(ref.engine())) << "seed " << seed;
     }
 }
 

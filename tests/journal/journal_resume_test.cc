@@ -14,6 +14,7 @@
  */
 #include <array>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,15 @@ struct Scenario
     const char* faults;
     const char* cluster = "xeon10";
 };
+
+/* gtest puts the printed parameter in each ctest name. Without this it
+ * prints a Scenario's raw bytes, label pointers included, so the names
+ * would change whenever the string section moves. */
+void
+PrintTo(const Scenario& s, std::ostream* os)
+{
+    *os << s.label;
+}
 
 /** Driver-kill times (simulated seconds), epoch cadence and job kind of
  *  a run. */
@@ -257,13 +267,11 @@ struct PlannedScenario
     KillPlan plan;
 };
 
-/* Named arrays rather than string literals: gtest prints a Scenario
- * parameter as its raw bytes, label pointer included, and those bytes
- * are part of the matrix test names above. A new literal in this file
- * can move the matrix labels within the merged string section and so
- * rename those tests; a named array does not. */
-constexpr char kPreciseLabel[] = "precise-reduce-crash-8t";
-constexpr char kPreciseFaults[] = "rcrash=0.5,seed=3";
+void
+PrintTo(const PlannedScenario& p, std::ostream* os)
+{
+    *os << p.scenario.label;
+}
 
 /** Reduce crashes with corrupt chunks under a map-interval cadence. A
  *  reduce crash restores reducer 1 from its checkpoint image at the
@@ -281,7 +289,8 @@ const PlannedScenario kRestoreScenarios[] = {
     // The precise job's fold reducers checkpoint per-key accumulators:
     // reducer 1 restores at the 14th map delivery (t=68.900) and the
     // interval epochs seal at the 12th (t=68.495) and 16th (t=68.909).
-    {{kPreciseLabel, 8, ft::FailureMode::kRetry, kPreciseFaults},
+    {{"precise-reduce-crash-8t", 8, ft::FailureMode::kRetry,
+      "rcrash=0.5,seed=3"},
      {4, {12.0, 68.2, 68.905, 69.5}, {68.905, 69.5}, true}},
 };
 
