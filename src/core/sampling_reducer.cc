@@ -1,6 +1,7 @@
 #include "core/sampling_reducer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -415,7 +416,24 @@ constexpr size_t kValueBytes = 48;
  *  blob (two zero counts). */
 constexpr char kEmptyRatioSections[16] = {};
 
+/** A lineage no image in this process has had. */
+uint64_t
+freshLineage()
+{
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+void
+MultiStageSamplingReducer::stamp(size_t begin, size_t end) const
+{
+    for (size_t b = begin / journal::kImageBlock;
+         b * journal::kImageBlock < end; ++b) {
+        block_versions_[b] = version_;
+    }
+}
 
 void
 MultiStageSamplingReducer::refreshImage() const
@@ -428,12 +446,21 @@ MultiStageSamplingReducer::refreshImage() const
         w.putU64(0);
         image_ = w.release();
         assert(image_.size() == kHeaderBytes);
+        image_.append(kEmptyRatioSections, sizeof(kEmptyRatioSections));
+        lineage_ = freshLineage();
+        version_ = 0;
+        block_versions_.clear();
     }
+    ++version_;
+    // Keys never written are appended where the ratio sections start,
+    // and the sections move to the new end.
+    size_t records_end = image_.size() - sizeof(kEmptyRatioSections);
+    image_.resize(records_end);
     for (uint32_t id : dirty_) {
         std::string_view key = keys_.key(id);
         const SumAggregate& agg = aggs_[id];
-        if (agg.image_offset == 0) {
-            // First write of this key: append its record.
+        bool appended = agg.image_offset == 0;
+        if (appended) {
             char len[8];
             integrity::storeU64(len, key.size());
             image_.append(len, sizeof(len));
@@ -448,11 +475,34 @@ MultiStageSamplingReducer::refreshImage() const
         integrity::storeDouble(out + 24, agg.sum_tau_sq);
         integrity::storeDouble(out + 32, agg.within);
         integrity::storeDouble(out + 40, agg.sum_intra_variance);
+        if (!appended) {
+            stamp(agg.image_offset, agg.image_offset + kValueBytes);
+        }
         agg.dirty = false;
     }
     dirty_.clear();
+    bool grew = image_.size() > records_end;
+    image_.append(kEmptyRatioSections, sizeof(kEmptyRatioSections));
+    block_versions_.resize(journal::imageBlocks(image_.size()), version_);
+    if (grew) {
+        stamp(records_end, image_.size());
+    }
     integrity::storeU64(image_.data() + kClustersOffset, clusters_);
     integrity::storeU64(image_.data() + kKeyCountOffset, aggs_.size());
+    stamp(kClustersOffset, kHeaderBytes);
+}
+
+bool
+MultiStageSamplingReducer::snapshot(std::string& scratch,
+                                    journal::ReducerImage& out) const
+{
+    if (op_ != Op::kSum && op_ != Op::kCount) {
+        return ErrorBoundedReducer::snapshot(scratch, out);
+    }
+    refreshImage();
+    out = journal::ReducerImage{image_, block_versions_.data(), lineage_,
+                                version_};
+    return true;
 }
 
 bool
@@ -460,9 +510,7 @@ MultiStageSamplingReducer::checkpoint(std::string& state) const
 {
     if (op_ == Op::kSum || op_ == Op::kCount) {
         refreshImage();
-        state.reserve(image_.size() + sizeof(kEmptyRatioSections));
         state.assign(image_);
-        state.append(kEmptyRatioSections, sizeof(kEmptyRatioSections));
         return true;
     }
 
@@ -579,8 +627,15 @@ MultiStageSamplingReducer::restore(const std::string& state)
     dirty_.clear();
     if (op_ == Op::kSum || op_ == Op::kCount) {
         // The snapshot's header and records are the image, in the
-        // order the keys were first seen.
+        // order the keys were first seen. Its bytes do not follow from
+        // the image's previous version, so it starts a new lineage,
+        // whose versions count from 1 again.
         image_.assign(state, 0, records_end);
+        image_.append(kEmptyRatioSections, sizeof(kEmptyRatioSections));
+        lineage_ = freshLineage();
+        version_ = 1;
+        block_versions_.assign(journal::imageBlocks(image_.size()),
+                               version_);
     } else {
         image_.clear();
     }

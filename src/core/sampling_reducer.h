@@ -71,6 +71,13 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
      * so a checkpoint costs O(keys changed) plus one copy.
      */
     bool checkpoint(std::string& state) const override;
+
+    /** For kSum/kCount, views image_ in place with its block versions
+     *  (no copy); otherwise the default whole-blob snapshot. */
+    bool snapshot(std::string& scratch,
+                  journal::ReducerImage& out) const override;
+
+    /** For kSum/kCount the image then starts a new lineage. */
     bool restore(const std::string& state) override;
 
     std::vector<KeyEstimate>
@@ -224,16 +231,30 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     const std::vector<uint32_t>& keyOrder() const;
     mutable std::vector<uint32_t> key_order_;
 
-    /** Brings image_ up to date: patches the dirty keys' value bytes,
-     *  appends keys never written, and rewrites the header counts. */
+    /** Brings image_ up to date under a new version: patches the dirty
+     *  keys' value bytes, appends keys never written, rewrites the
+     *  header counts, and stamps every block it wrote. */
     void refreshImage() const;
 
-    // kSum/kCount checkpoint image: the blob's header and per-key
-    // records, refreshed lazily by checkpoint(). Records are in
-    // first-seen order, a function of the consume order alone, so a
-    // restored and replayed reducer rebuilds the same bytes as one that
-    // never crashed, and an image only grows at its end.
+    /** Stamps the blocks holding image_ bytes [begin, end) with
+     *  version_. */
+    void stamp(size_t begin, size_t end) const;
+
+    // kSum/kCount checkpoint image: the whole blob (header, per-key
+    // records, the two empty ratio-section counts), refreshed lazily by
+    // checkpoint() and snapshot(). Records are in first-seen order, a
+    // function of the consume order alone, so a restored and replayed
+    // reducer rebuilds the same bytes as one that never crashed, and an
+    // image only grows at its end.
     mutable std::string image_;
+    /** Per journal::kImageBlock-byte block of image_: the version_ that
+     *  last wrote it. */
+    mutable std::vector<uint32_t> block_versions_;
+    /** Bumped by every refresh. Whenever image_ is built anew (first
+     *  refresh, restore) lineage_ is taken from a process-wide counter
+     *  and version_ counts from 1 again. */
+    mutable uint32_t version_ = 0;
+    mutable uint64_t lineage_ = 0;
     /** Ids of the keys consumed since the last refresh, in first-touch
      *  order. */
     mutable std::vector<uint32_t> dirty_;

@@ -27,10 +27,6 @@ constexpr uint64_t kFrameSeed = 0x4A4E4C31u;
 /** RunSpec blob version (first field of the header payload). */
 constexpr uint64_t kSpecVersion = 1;
 
-/** Granularity of a reducer-blob delta: runs cover whole blocks of
- *  this many bytes (the last block of a blob may be shorter). */
-constexpr size_t kDeltaBlock = 64;
-
 void
 putRawU64(std::string& out, uint64_t v)
 {
@@ -58,17 +54,6 @@ stampOf(const std::string& payload)
 }
 
 std::string
-frame(const std::string& payload)
-{
-    std::string out;
-    out.reserve(payload.size() + 16);
-    putRawU64(out, payload.size());
-    out += payload;
-    putRawU64(out, stampOf(payload));
-    return out;
-}
-
-std::string
 formatDiag(const char* field, double a, double b)
 {
     char buf[160];
@@ -77,21 +62,29 @@ formatDiag(const char* field, double a, double b)
 }
 
 /**
- * Writes @p blob as a delta against @p base — [u64 keep][u64 runs]
+ * Writes @p image as a delta against @p base — [u64 keep][u64 runs]
  * {[u64 offset][string bytes]}* [string tail], meaning "the first keep
  * bytes of base, with these runs patched in, then tail" — and advances
- * @p base to @p blob, rewriting only the bytes that differ. Runs are
- * maximal sequences of differing kDeltaBlock-byte blocks.
+ * @p base to @p image, rewriting only the bytes that differ. Runs are
+ * maximal sequences of differing kImageBlock-byte blocks (the last
+ * block of a blob may be shorter). A block the image has not written
+ * since the version @p base was encoded from equals the base by
+ * construction and is skipped; every other block is compared.
  */
 void
-putReducerDelta(integrity::BlobWriter& w, std::string& base,
-                const std::string& blob)
+putReducerDelta(integrity::BlobWriter& w, ReducerBlob& base,
+                const ReducerImage& image)
 {
-    size_t keep = std::min(base.size(), blob.size());
+    std::string_view blob = image.bytes;
+    size_t keep = std::min(base.bytes.size(), blob.size());
+    size_t blocks = imageBlocks(keep);
     std::vector<std::pair<size_t, size_t>> runs;  // (offset, length)
-    for (size_t at = 0; at < keep; at += kDeltaBlock) {
-        size_t len = std::min(kDeltaBlock, keep - at);
-        if (std::memcmp(base.data() + at, blob.data() + at, len) == 0) {
+    for (size_t b = image.nextWritten(base.mark, 0, blocks); b < blocks;
+         b = image.nextWritten(base.mark, b + 1, blocks)) {
+        size_t at = b * kImageBlock;
+        size_t len = std::min(kImageBlock, keep - at);
+        if (std::memcmp(base.bytes.data() + at, blob.data() + at, len) ==
+            0) {
             continue;
         }
         if (!runs.empty() && runs.back().first + runs.back().second == at) {
@@ -100,17 +93,17 @@ putReducerDelta(integrity::BlobWriter& w, std::string& base,
             runs.emplace_back(at, len);
         }
     }
-    std::string_view view(blob);
     w.putU64(keep);
     w.putU64(runs.size());
     for (const auto& [offset, len] : runs) {
         w.putU64(offset);
-        w.putString(view.substr(offset, len));
-        base.replace(offset, len, view.substr(offset, len));
+        w.putString(blob.substr(offset, len));
+        base.bytes.replace(offset, len, blob.substr(offset, len));
     }
-    w.putString(view.substr(keep));
-    base.resize(keep);
-    base.append(view.substr(keep));
+    w.putString(blob.substr(keep));
+    base.bytes.resize(keep);
+    base.bytes.append(blob.substr(keep));
+    base.mark = image.mark();
 }
 
 /** Inverse of putReducerDelta; @p base is null when the journal holds
@@ -264,7 +257,7 @@ encodeEpoch(const Epoch& epoch, ReducerBase& base)
 }
 
 Epoch
-decodeEpoch(const std::string& blob, ReducerBase& base)
+decodeEpoch(const std::string& blob, ReducerBase& base, BlobStore& store)
 {
     try {
         integrity::BlobReader r(blob);
@@ -295,8 +288,9 @@ decodeEpoch(const std::string& blob, ReducerBase& base)
         uint64_t states = r.getU64();
         for (uint64_t i = 0; i < states; ++i) {
             const std::string* prev =
-                !marker && i < base.size() ? &base[i] : nullptr;
-            e.reducer_state.push_back(getReducerDelta(r, prev));
+                !marker && i < base.size() ? &base[i].bytes : nullptr;
+            e.reducer_state.push_back(
+                ReducerImage{store.emplace_back(getReducerDelta(r, prev))});
         }
         uint64_t records = r.getU64();
         for (uint64_t i = 0; i < records; ++i) {
@@ -304,7 +298,10 @@ decodeEpoch(const std::string& blob, ReducerBase& base)
         }
         r.expectEnd();
         if (!marker) {
-            base = e.reducer_state;
+            base.assign(e.reducer_state.size(), ReducerBlob{});
+            for (size_t i = 0; i < base.size(); ++i) {
+                base[i].bytes = e.reducer_state[i].bytes;
+            }
         }
         return e;
     } catch (const JournalError&) {
@@ -354,7 +351,7 @@ parseJournal(const std::string& bytes)
             out.spec = RunSpec::deserialize(payload);
             have_header = true;
         } else {
-            Epoch e = decodeEpoch(payload, base);
+            Epoch e = decodeEpoch(payload, base, out.reducer_blobs);
             if (e.kind == Epoch::kResumeMarker) {
                 ++out.resume_markers;
             }
@@ -395,6 +392,9 @@ readJournalFile(const std::string& path)
 std::string
 epochMismatch(const Epoch& sealed, const Epoch& observed)
 {
+    auto same_bytes = [](const ReducerImage& a, const ReducerImage& b) {
+        return a.bytes == b.bytes;
+    };
     std::string where =
         "epoch " + std::to_string(sealed.index) + ": ";
     if (sealed.index != observed.index) {
@@ -459,7 +459,10 @@ epochMismatch(const Epoch& sealed, const Epoch& observed)
     if (sealed.controller_blob != observed.controller_blob) {
         return where + "controller replan state differs";
     }
-    if (sealed.reducer_state != observed.reducer_state) {
+    if (!std::equal(sealed.reducer_state.begin(),
+                    sealed.reducer_state.end(),
+                    observed.reducer_state.begin(),
+                    observed.reducer_state.end(), same_bytes)) {
         return where + "reducer checkpoint state differs";
     }
     if (sealed.reducer_records != observed.reducer_records) {
@@ -500,6 +503,7 @@ JobJournal::adoptLoaded(LoadedJournal loaded, std::string bytes,
 {
     spec_ = loaded.spec;
     loaded_ = std::move(loaded.epochs);
+    loaded_blobs_ = std::move(loaded.reducer_blobs);
     resume_count_ = loaded.resume_markers + 1;
     Epoch marker;
     marker.kind = Epoch::kResumeMarker;
@@ -510,9 +514,12 @@ JobJournal::adoptLoaded(LoadedJournal loaded, std::string bytes,
             // non-decreasing across the whole epoch stream (obscheck
             // relies on this). Verified re-executed epochs equal the
             // sealed ones, so appends continue the delta chain from
-            // the last sealed reducer blobs.
+            // the last sealed reducer blobs; no image version is known
+            // for them, so the first append compares every block.
             marker.sim_time = it->sim_time;
-            base_ = it->reducer_state;
+            for (const ReducerImage& image : it->reducer_state) {
+                base_.push_back(ReducerBlob{std::string(image.bytes), {}});
+            }
             break;
         }
     }
@@ -603,19 +610,22 @@ JobJournal::openFileTruncated(const std::string& path)
 void
 JobJournal::appendFrame(const std::string& payload)
 {
-    std::string framed = frame(payload);
+    size_t start = image_.size();
+    putRawU64(image_, payload.size());
+    image_ += payload;
+    putRawU64(image_, stampOf(payload));
     if (file_ != nullptr) {
         // Flush frame-at-a-time: a SIGKILL leaves at worst one torn
         // frame at the tail, which parseJournal() discards. (Page-cache
         // durability is enough — we recover from process death, not
         // power loss.)
-        if (std::fwrite(framed.data(), 1, framed.size(), file_) !=
-                framed.size() ||
+        size_t len = image_.size() - start;
+        if (std::fwrite(image_.data() + start, 1, len, file_) != len ||
             std::fflush(file_) != 0) {
+            image_.resize(start);
             throw JournalError("journal: write error");
         }
     }
-    image_ += framed;
 }
 
 }  // namespace approxhadoop::journal

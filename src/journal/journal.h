@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -35,6 +36,9 @@
  * markers carry no reducer state, and a resumed journal continues the
  * chain from its last sealed epoch. parseJournal() rebuilds the full
  * blobs, so resume verification compares whole blobs byte for byte.
+ * A versioned ReducerImage of the lineage the base was encoded from
+ * lets the encoder skip the blocks not written since; every other
+ * block is compared, so the runs are the same either way.
  *
  * Appends are flushed frame-at-a-time, so a killed driver leaves at
  * worst one partial frame at the tail. parseJournal() discards a torn
@@ -112,29 +116,50 @@ struct RunSpec
 };
 
 /**
- * Full reducer blobs of the last non-marker epoch of a journal, one per
- * reducer: the base the next epoch's reducer state is delta-encoded
- * against. Empty before the first epoch, which is therefore written in
- * full.
+ * One reducer's full blob in the last non-marker epoch of a journal:
+ * the base its next epoch is delta-encoded against. `mark` names the
+ * image the encoder read it from; it is empty after a decode or a
+ * resume, so the next encode compares every block.
  */
-using ReducerBase = std::vector<std::string>;
+struct ReducerBlob
+{
+    std::string bytes;
+    ImageMark mark{};
+};
+
+/** One ReducerBlob per reducer. Empty before the first epoch, which is
+ *  therefore written in full. */
+using ReducerBase = std::vector<ReducerBlob>;
+
+/** Owns decoded reducer blobs; adding one never moves the others, so
+ *  the epochs' views into it stay valid. */
+using BlobStore = std::deque<std::string>;
 
 /**
  * Epoch <-> blob codec (BlobWriter framing). Both sides advance @p base
  * past a non-marker epoch, so a stream of epochs must be encoded and
- * decoded in order, each side with its own base. decodeEpoch returns
- * full reducer blobs and throws JournalError on malformed input,
- * including a delta that its base cannot satisfy.
+ * decoded in order, each side with its own base. decodeEpoch rebuilds
+ * full reducer blobs into @p store, which the returned epoch's views
+ * point into, and throws JournalError on malformed input, including a
+ * delta that its base cannot satisfy.
  */
 std::string encodeEpoch(const Epoch& epoch, ReducerBase& base);
-Epoch decodeEpoch(const std::string& blob, ReducerBase& base);
+Epoch decodeEpoch(const std::string& blob, ReducerBase& base,
+                  BlobStore& store);
 
-/** Result of parsing a journal image. */
+/** Result of parsing a journal image. Move-only: its epochs point into
+ *  its blob store. */
 struct LoadedJournal
 {
+    LoadedJournal() = default;
+    LoadedJournal(LoadedJournal&&) = default;
+    LoadedJournal& operator=(LoadedJournal&&) = default;
+
     RunSpec spec;
     /** Sealed epochs in file order, resume markers included. */
     std::vector<Epoch> epochs;
+    /** The full reducer blobs the epochs view. */
+    BlobStore reducer_blobs;
     /** Byte length of the sealed prefix (magic + header + epochs). */
     uint64_t sealed_bytes = 0;
     /** True when a partial trailing frame was discarded. */
@@ -207,8 +232,10 @@ class JobJournal : public EpochSink
     void openFileTruncated(const std::string& path);
 
     RunSpec spec_;
-    /** Sealed epochs awaiting verification (resume mode). */
+    /** Sealed epochs awaiting verification (resume mode), and the
+     *  blobs they view. */
     std::vector<Epoch> loaded_;
+    BlobStore loaded_blobs_;
     size_t cursor_ = 0;
     /** Delta base for the next appended epoch. */
     ReducerBase base_;

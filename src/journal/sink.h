@@ -1,9 +1,13 @@
 #ifndef APPROXHADOOP_JOURNAL_SINK_H_
 #define APPROXHADOOP_JOURNAL_SINK_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,97 @@
  * acyclic — approx_journal links integrity, mapreduce links neither.
  */
 namespace approxhadoop::journal {
+
+/** Bytes per block of a reducer image: the unit of its write versions
+ *  and of the journal's reducer-state deltas. */
+inline constexpr size_t kImageBlock = 64;
+
+/** Blocks covering @p bytes bytes (the last may be short). */
+inline constexpr size_t
+imageBlocks(size_t bytes)
+{
+    return (bytes + kImageBlock - 1) / kImageBlock;
+}
+
+/** The image a consumer last read: lineage 0 means none, so every
+ *  block must be compared or copied. */
+struct ImageMark
+{
+    uint64_t lineage = 0;
+    uint32_t version = 0;
+};
+
+/**
+ * A reducer's checkpoint blob, read in place (mr::Reducer::snapshot).
+ * A versioned image also says which kImageBlock-byte blocks were
+ * written since a given version, so a consumer that keeps a copy of an
+ * earlier version of the same lineage touches only those blocks.
+ * Versions grow with every refresh of the image within a lineage. A
+ * lineage is never reused, and a reducer takes a new one whenever its
+ * image stops following from the previous version (restore()).
+ */
+struct ReducerImage
+{
+    std::string_view bytes;
+    /** Version of the last write to each block of bytes (the last block
+     *  may be short); null when any block may differ from any earlier
+     *  image. */
+    const uint32_t* block_versions = nullptr;
+    uint64_t lineage = 0;
+    /** The newest version stamped on any block. */
+    uint32_t version = 0;
+
+    /** The mark a consumer holding these bytes keeps. */
+    ImageMark
+    mark() const
+    {
+        return block_versions != nullptr ? ImageMark{lineage, version}
+                                         : ImageMark{};
+    }
+
+    /**
+     * The first block in [@p b, @p end) that may differ from the image
+     * @p seen read, or @p end when none does. Every block may when the
+     * image is unversioned or of another lineage; otherwise only those
+     * written since.
+     */
+    size_t
+    nextWritten(const ImageMark& seen, size_t b, size_t end) const
+    {
+        if (block_versions != nullptr && seen.lineage == lineage) {
+            while (b < end && block_versions[b] <= seen.version) {
+                ++b;
+            }
+        }
+        return b;
+    }
+
+    /**
+     * Makes @p copy equal bytes, given that it held the image @p mark
+     * names, rewriting only the blocks that may differ (nextWritten);
+     * then advances @p mark. @p copy may be the buffer bytes points
+     * into.
+     */
+    void
+    copyInto(std::string& copy, ImageMark& mark) const
+    {
+        if (block_versions == nullptr) {
+            if (bytes.data() != copy.data()) {
+                copy.assign(bytes);
+            }
+        } else {
+            copy.resize(bytes.size());
+            size_t n = imageBlocks(bytes.size());
+            for (size_t b = nextWritten(mark, 0, n); b < n;
+                 b = nextWritten(mark, b + 1, n)) {
+                size_t at = b * kImageBlock;
+                std::memcpy(copy.data() + at, bytes.data() + at,
+                            std::min(kImageBlock, bytes.size() - at));
+            }
+        }
+        mark = this->mark();
+    }
+};
 
 /**
  * One sealed checkpoint of a running job, captured at a consistency
@@ -64,8 +159,14 @@ struct Epoch
     double pending_approx_fraction = 0.0;
     /** JobController::journalState() blob (replan state). */
     std::string controller_blob;
-    /** Reducer::checkpoint() blob per reducer ("" when unsupported). */
-    std::vector<std::string> reducer_state;
+    /**
+     * Reducer::snapshot() image per reducer ("" when unsupported). The
+     * bytes are borrowed: a captured epoch's views point into its
+     * reducers and are valid only during EpochSink::onEpoch; a decoded
+     * epoch's point into the blob store its decoder filled
+     * (LoadedJournal).
+     */
+    std::vector<ReducerImage> reducer_state;
     /** Records shuffled into each reducer so far. */
     std::vector<uint64_t> reducer_records;
 };

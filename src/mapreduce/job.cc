@@ -559,7 +559,7 @@ Job::placeReducers()
     if (reduce_ft_) {
         for (uint32_t r = 0; r < config_.num_reducers; ++r) {
             ReduceExec& rx = reduce_exec_[r];
-            rx.supported = reducers_[r]->checkpoint(rx.state);
+            rx.supported = syncCheckpoint(r);
             if (rx.supported) {
                 armReduceCrash(r);
             }
@@ -1789,11 +1789,12 @@ Job::deliverChunks(uint64_t task_id, std::vector<MapOutputChunk>&& chunks)
             if (rx.supported) {
                 // Retain delivered-but-uncheckpointed chunks for replay;
                 // a periodic checkpoint truncates the retention log.
-                rx.retained.push_back(chunks[r]);
+                // Nothing reads the chunk after its consume, so it moves.
+                rx.retained.push_back(std::move(chunks[r]));
                 uint64_t interval = config_.reducer_checkpoint_interval;
                 if (interval > 0 &&
                     rx.delivered - rx.checkpointed >= interval) {
-                    bool ok = reducers_[r]->checkpoint(rx.state);
+                    bool ok = syncCheckpoint(r);
                     assert(ok);
                     (void)ok;
                     rx.checkpointed = rx.delivered;
@@ -1876,6 +1877,20 @@ Job::armReduceCrash(uint32_t reducer)
         1.0, std::ceil(fate.crash_fraction
                        * static_cast<double>(tasks_.size()))));
     rx.crash_at = rx.delivered + horizon;
+}
+
+bool
+Job::syncCheckpoint(uint32_t reducer)
+{
+    // A reducer on the default snapshot path writes its blob straight
+    // into rx.state, so the copy below has nothing left to do.
+    ReduceExec& rx = reduce_exec_[reducer];
+    journal::ReducerImage image;
+    if (!reducers_[reducer]->snapshot(rx.state, image)) {
+        return false;
+    }
+    image.copyInto(rx.state, rx.synced);
+    return true;
 }
 
 void
@@ -2038,13 +2053,14 @@ Job::captureEpoch(uint32_t kind, int wave)
     if (controller_ != nullptr) {
         e.controller_blob = controller_->journalState();
     }
-    e.reducer_state.reserve(reducers_.size());
-    for (const std::unique_ptr<Reducer>& r : reducers_) {
-        std::string blob;
-        if (!r->checkpoint(blob)) {
-            blob.clear();  // unsupported: pinned to "" on both sides
+    epoch_scratch_.resize(reducers_.size());
+    e.reducer_state.resize(reducers_.size());
+    for (size_t r = 0; r < reducers_.size(); ++r) {
+        if (!reducers_[r]->snapshot(epoch_scratch_[r],
+                                    e.reducer_state[r])) {
+            // Unsupported: pinned to "" on both sides.
+            e.reducer_state[r] = journal::ReducerImage{};
         }
-        e.reducer_state.push_back(std::move(blob));
     }
     e.reducer_records = reducer_records_;
     maps_since_epoch_ = 0;

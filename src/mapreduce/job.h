@@ -389,6 +389,8 @@ class Job
         bool supported = false;
         /** Last checkpoint blob (pristine-state blob before any). */
         std::string state;
+        /** The reducer image `state` copies (see syncCheckpoint). */
+        journal::ImageMark synced;
         /** Delivered-but-uncheckpointed chunks, in delivery order —
          *  the replay source after a restart. */
         std::vector<MapOutputChunk> retained;
@@ -542,6 +544,10 @@ class Job
     /** Derives the current reduce attempt's crash point (if any) from
      *  the injector; 0 disarms. */
     void armReduceCrash(uint32_t reducer);
+    /** Brings reduce_exec_[r].state up to reducer r's checkpoint,
+     *  copying only what changed since the last sync when its image is
+     *  versioned. Returns false when checkpointing is unsupported. */
+    bool syncCheckpoint(uint32_t reducer);
     /** Crashed reduce attempt: restore the last checkpoint and replay
      *  the delivered-but-uncheckpointed chunks in delivery order. */
     void restartReducer(uint32_t reducer);
@@ -686,6 +692,9 @@ class Job
     std::vector<std::pair<uint64_t, uint64_t>> epoch_delivered_;
     /** Completed maps since the last interval epoch. */
     uint64_t maps_since_epoch_ = 0;
+    /** Per reducer: where a reducer without a versioned image writes
+     *  its epoch snapshot (see Reducer::snapshot). */
+    std::vector<std::string> epoch_scratch_;
     /** dcrash events fired so far (skip cursor for resumed runs). */
     uint32_t driver_crashes_fired_ = 0;
     /** Pending dcrash events, cancelled at job completion so a kill

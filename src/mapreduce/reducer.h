@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "journal/sink.h"
 #include "mapreduce/key_interner.h"
 #include "mapreduce/types.h"
 
@@ -119,16 +120,39 @@ class Reducer
      * The blob must be a function of the consumed chunks alone, never
      * of when earlier checkpoints were taken: journal epochs compare a
      * resumed run's blobs with the crashed run's byte for byte. The
-     * framework calls this every few chunks and at every journal epoch,
-     * which delta-encodes each blob against the previous one, so a
-     * layout that only grows at its end (records in first-seen order,
-     * as MultiStageSamplingReducer writes them) keeps both cheap.
+     * framework reads it through snapshot() every few chunks and at
+     * every journal epoch, which delta-encodes each blob against the
+     * previous one, so a layout that only grows at its end (records in
+     * first-seen order, as MultiStageSamplingReducer writes them) keeps
+     * both cheap.
      */
     virtual bool
     checkpoint(std::string& state) const
     {
         (void)state;
         return false;
+    }
+
+    /**
+     * The checkpoint blob as the framework reads it: @p out views the
+     * same bytes checkpoint() would write, valid until the reducer is
+     * next called. The default writes checkpoint() into
+     * @p scratch and views it without versions, so consumers compare
+     * or copy the whole blob; a decorator that overrides only
+     * checkpoint() keeps working unchanged. A reducer that keeps its
+     * blob as a versioned image (MultiStageSamplingReducer for
+     * sum/count) views it in place, and the reduce-crash copy and the
+     * journal delta then touch only the blocks written since they last
+     * read it. Returns false when checkpointing is unsupported.
+     */
+    virtual bool
+    snapshot(std::string& scratch, journal::ReducerImage& out) const
+    {
+        if (!checkpoint(scratch)) {
+            return false;
+        }
+        out = journal::ReducerImage{scratch};
+        return true;
     }
 
     /**

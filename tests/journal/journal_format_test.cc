@@ -18,6 +18,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -64,12 +65,18 @@ makeSpec()
  * every epoch, fixed-width records appended at the end as the state
  * grows, and every thirteenth record rewritten in place. Reducer 1 is
  * rolled back (shrinks) at epoch 3, as a restored reducer's image does;
- * reducer 2 does not support checkpoints.
+ * reducer 2 does not support checkpoints. Built once per index, so the
+ * epochs' views stay valid for the whole test binary.
  */
-std::vector<std::string>
+const std::vector<std::string>&
 reducerState(uint64_t index)
 {
-    std::vector<std::string> state;
+    static std::map<uint64_t, std::vector<std::string>> built;
+    auto [it, fresh] = built.try_emplace(index);
+    std::vector<std::string>& state = it->second;
+    if (!fresh) {
+        return state;
+    }
     for (uint64_t r = 0; r < 2; ++r) {
         char header[32];
         std::snprintf(header, sizeof(header), "hdr r%" PRIu64 " e%04" PRIu64,
@@ -91,6 +98,39 @@ reducerState(uint64_t index)
     return state;
 }
 
+/** Views of @p blobs, one per reducer. */
+std::vector<ReducerImage>
+viewsOf(const std::vector<std::string>& blobs)
+{
+    std::vector<ReducerImage> views;
+    for (const std::string& blob : blobs) {
+        views.push_back(ReducerImage{blob});
+    }
+    return views;
+}
+
+/** The bytes of each reducer's base blob. */
+std::vector<std::string>
+bytesOf(const ReducerBase& base)
+{
+    std::vector<std::string> out;
+    for (const ReducerBlob& b : base) {
+        out.push_back(b.bytes);
+    }
+    return out;
+}
+
+/** The bytes each reducer image of @p e views. */
+std::vector<std::string>
+bytesOf(const Epoch& e)
+{
+    std::vector<std::string> out;
+    for (const ReducerImage& image : e.reducer_state) {
+        out.emplace_back(image.bytes);
+    }
+    return out;
+}
+
 Epoch
 makeEpoch(uint64_t index)
 {
@@ -107,7 +147,7 @@ makeEpoch(uint64_t index)
     e.pending_sampling_ratio = 0.25;
     e.pending_approx_fraction = 0.75;
     e.controller_blob = "ctl-" + std::to_string(index);
-    e.reducer_state = reducerState(index);
+    e.reducer_state = viewsOf(reducerState(index));
     e.reducer_records = {100 + index, 200 + index, 0};
     return e;
 }
@@ -157,11 +197,13 @@ TEST(JournalFormatTest, EpochRoundTripsEveryField)
     e.wave = -1;
     ReducerBase encode_base;
     ReducerBase decode_base;
-    Epoch back = decodeEpoch(encodeEpoch(e, encode_base), decode_base);
+    BlobStore store;
+    Epoch back =
+        decodeEpoch(encodeEpoch(e, encode_base), decode_base, store);
     expectEpochEq(e, back);
     // Both sides advanced to the epoch's full blobs.
-    EXPECT_EQ(encode_base, e.reducer_state);
-    EXPECT_EQ(decode_base, e.reducer_state);
+    EXPECT_EQ(bytesOf(encode_base), bytesOf(e));
+    EXPECT_EQ(bytesOf(decode_base), bytesOf(e));
     EXPECT_EQ(back.kind, Epoch::kInterval);
     EXPECT_EQ(back.index, 3u);
 }
@@ -171,8 +213,10 @@ TEST(JournalFormatTest, MalformedBlobsThrowNotCrash)
     EXPECT_THROW(RunSpec::deserialize(""), JournalError);
     EXPECT_THROW(RunSpec::deserialize("garbage"), JournalError);
     ReducerBase base;
-    EXPECT_THROW(decodeEpoch("", base), JournalError);
-    EXPECT_THROW(decodeEpoch(std::string(64, 'x'), base), JournalError);
+    BlobStore store;
+    EXPECT_THROW(decodeEpoch("", base, store), JournalError);
+    EXPECT_THROW(decodeEpoch(std::string(64, 'x'), base, store),
+                 JournalError);
 }
 
 /** The payload of an epoch whose one reducer entry is @p entry (raw
@@ -208,18 +252,20 @@ deltaEntry(uint64_t keep, uint64_t offset, const std::string& run,
 
 TEST(JournalFormatTest, DeltaRunsApplyToTheirBase)
 {
-    ReducerBase base = {"0123456789"};
+    ReducerBase base = {{"0123456789"}};
+    BlobStore store;
     Epoch e = decodeEpoch(
-        payloadWithReducerEntry(deltaEntry(10, 6, "abcd", "XY")), base);
+        payloadWithReducerEntry(deltaEntry(10, 6, "abcd", "XY")), base,
+        store);
     ASSERT_EQ(e.reducer_state.size(), 1u);
-    EXPECT_EQ(e.reducer_state[0], "012345abcdXY");
-    EXPECT_EQ(base, e.reducer_state);
+    EXPECT_EQ(e.reducer_state[0].bytes, "012345abcdXY");
+    EXPECT_EQ(bytesOf(base), bytesOf(e));
 
     // Keeping a prefix shorter than the base truncates it.
-    base = {"0123456789"};
+    base = {{"0123456789"}};
     e = decodeEpoch(payloadWithReducerEntry(deltaEntry(4, 0, "ab", "")),
-                    base);
-    EXPECT_EQ(e.reducer_state[0], "ab23");
+                    base, store);
+    EXPECT_EQ(e.reducer_state[0].bytes, "ab23");
 }
 
 TEST(JournalFormatTest, DeltaPastItsBlobOrWithoutBaseThrows)
@@ -227,8 +273,9 @@ TEST(JournalFormatTest, DeltaPastItsBlobOrWithoutBaseThrows)
     // Journal bytes are outside input: every bound is checked.
     const std::string base_blob = "0123456789";
     auto decode = [&](const std::string& entry) {
-        ReducerBase base = {base_blob};
-        return decodeEpoch(payloadWithReducerEntry(entry), base);
+        ReducerBase base = {{base_blob}};
+        BlobStore store;
+        return decodeEpoch(payloadWithReducerEntry(entry), base, store);
     };
     EXPECT_THROW(decode(deltaEntry(10, 8, "abcd", "")), JournalError);
     EXPECT_THROW(decode(deltaEntry(10, 11, "", "")), JournalError);
@@ -238,9 +285,10 @@ TEST(JournalFormatTest, DeltaPastItsBlobOrWithoutBaseThrows)
     EXPECT_THROW(decode(deltaEntry(11, 0, "a", "")), JournalError);
 
     ReducerBase none;
+    BlobStore store;
     try {
         decodeEpoch(payloadWithReducerEntry(deltaEntry(4, 0, "ab", "")),
-                    none);
+                    none, store);
         FAIL() << "a delta without a base epoch was accepted";
     } catch (const JournalError& e) {
         EXPECT_NE(std::string(e.what()).find("no base"), std::string::npos)
@@ -448,7 +496,9 @@ TEST(JournalFormatTest, DivergentResumeThrowsNamedFieldDiagnostic)
     jj->onEpoch(makeEpoch(0));
     jj->onEpoch(makeEpoch(1));
     diverged = makeEpoch(2);
-    diverged.reducer_state[1][40] ^= 1;
+    std::string flipped(diverged.reducer_state[1].bytes);
+    flipped[40] ^= 1;
+    diverged.reducer_state[1] = ReducerImage{flipped};
     try {
         jj->onEpoch(diverged);
         FAIL() << "divergent reducer state was accepted";
