@@ -1,7 +1,9 @@
 #include "core/approx_job.h"
 
+#include <cassert>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/approx_input_format.h"
 #include "core/extreme_target_controller.h"
@@ -10,18 +12,24 @@
 
 namespace approxhadoop::core {
 
-ApproxJobRunner::ApproxJobRunner(sim::Cluster& cluster,
-                                 const hdfs::BlockDataset& dataset,
-                                 hdfs::NameNode& namenode)
-    : cluster_(cluster), dataset_(dataset), namenode_(namenode)
-{
-}
+namespace {
 
-template <typename ReducerT>
+/**
+ * Pre-creates @p count reducers, listing them in @p watched so a
+ * controller can read their live error estimates (the JobTracker
+ * error-collection role), and returns a factory that hands them to the
+ * job one by one.
+ */
+template <typename ReducerT, typename... Args>
 mr::Job::ReducerFactory
-ApproxJobRunner::makeSharedFactory(
-    std::shared_ptr<std::vector<std::unique_ptr<ReducerT>>> pool)
+reducerPool(uint32_t count, std::vector<ReducerT*>& watched,
+            const Args&... args)
 {
+    auto pool = std::make_shared<std::vector<std::unique_ptr<ReducerT>>>();
+    for (uint32_t r = 0; r < count; ++r) {
+        pool->push_back(std::make_unique<ReducerT>(args...));
+        watched.push_back(pool->back().get());
+    }
     auto next = std::make_shared<size_t>(0);
     return [pool, next]() -> std::unique_ptr<mr::Reducer> {
         if (*next >= pool->size()) {
@@ -31,185 +39,135 @@ ApproxJobRunner::makeSharedFactory(
     };
 }
 
-mr::JobResult
-ApproxJobRunner::runAggregation(mr::JobConfig config,
-                                const ApproxConfig& approx,
-                                mr::Job::MapperFactory mapper_factory,
-                                MultiStageSamplingReducer::Op op,
-                                bool use_moments_combiner)
+/** Throws for the combinations assembleJob() rejects. */
+void
+checkSettings(const ApproxConfig& approx, const ReducerSet& reducers)
 {
-    if (use_moments_combiner &&
-        op != MultiStageSamplingReducer::Op::kSum &&
-        op != MultiStageSamplingReducer::Op::kCount) {
+    const auto* aggregation = std::get_if<AggregationReducers>(&reducers);
+    bool three_stage = std::holds_alternative<ThreeStageReducers>(reducers);
+    if (aggregation != nullptr && aggregation->use_moments_combiner &&
+        aggregation->op != MultiStageSamplingReducer::Op::kSum &&
+        aggregation->op != MultiStageSamplingReducer::Op::kCount) {
         throw std::invalid_argument(
             "MomentsCombiner is only sound for sum/count reductions");
     }
-    last_target_achieved_ = false;
-    config.framework_overhead = approx.framework_overhead;
+    if (three_stage &&
+        (approx.hasTarget() || approx.user_defined_fraction > 0.0)) {
+        throw std::invalid_argument(
+            "three-stage jobs take sampling and drop ratios only");
+    }
+    if (std::holds_alternative<mr::Job::ReducerFactory>(reducers) &&
+        approx.hasTarget()) {
+        throw std::invalid_argument(
+            "user-defined jobs take sampling and drop ratios, not a target");
+    }
+    if (std::holds_alternative<ExtremeReducers>(reducers) &&
+        approx.sampling_ratio != 1.0) {
+        throw std::invalid_argument(
+            "extreme-value jobs approximate by dropping tasks only");
+    }
+}
 
-    // Pre-create the reducers so the controller can watch their live
-    // error estimates (the JobTracker error-collection role).
-    auto pool = std::make_shared<
-        std::vector<std::unique_ptr<MultiStageSamplingReducer>>>();
-    std::vector<MultiStageSamplingReducer*> raw;
-    for (uint32_t r = 0; r < config.num_reducers; ++r) {
-        pool->push_back(std::make_unique<MultiStageSamplingReducer>(
-            op, approx.confidence));
-        raw.push_back(pool->back().get());
+}  // namespace
+
+AssembledJob
+assembleJob(sim::Cluster& cluster, const hdfs::BlockDataset& dataset,
+            hdfs::NameNode& namenode, mr::JobConfig config,
+            const ApproxConfig* approx, mr::Job::MapperFactory mapper_factory,
+            ReducerSet reducers, obs::Observability* obs,
+            journal::EpochSink* epoch_sink)
+{
+    auto* own = std::get_if<mr::Job::ReducerFactory>(&reducers);
+    assert(approx != nullptr || own != nullptr);
+    const auto* aggregation = std::get_if<AggregationReducers>(&reducers);
+    const auto* three = std::get_if<ThreeStageReducers>(&reducers);
+    const auto* extreme = std::get_if<ExtremeReducers>(&reducers);
+    std::vector<MultiStageSamplingReducer*> sampling;
+    std::vector<ThreeStageSamplingReducer*> unwatched;
+    std::vector<ApproxExtremeReducer*> extremes;
+    mr::Job::ReducerFactory reducer_factory;
+    if (approx != nullptr) {
+        checkSettings(*approx, reducers);
+        config.framework_overhead = approx->framework_overhead;
+    }
+    if (aggregation != nullptr) {
+        reducer_factory = reducerPool(config.num_reducers, sampling,
+                                      aggregation->op, approx->confidence);
+    } else if (three != nullptr) {
+        reducer_factory = reducerPool(config.num_reducers, unwatched,
+                                      three->op, approx->confidence);
+    } else if (extreme != nullptr) {
+        reducer_factory = reducerPool(
+            config.num_reducers, extremes, extreme->minimum,
+            approx->extreme_percentile, approx->confidence,
+            extreme->values_are_extremes);
+    } else {
+        reducer_factory = std::move(*own);
     }
 
-    mr::Job job(cluster_, dataset_, namenode_, std::move(config));
-    job.setObservability(obs_);
-    job.setEpochSink(epoch_sink_);
+    AssembledJob out;
+    out.job = std::make_unique<mr::Job>(cluster, dataset, namenode,
+                                        std::move(config));
+    mr::Job& job = *out.job;
+    job.setObservability(obs);
+    job.setEpochSink(epoch_sink);
     job.setMapperFactory(std::move(mapper_factory));
-    job.setReducerFactory(makeSharedFactory(pool));
-    job.setInputFormat(std::make_shared<ApproxTextInputFormat>());
-    job.setInitialApproximateFraction(approx.user_defined_fraction);
-    if (use_moments_combiner) {
+    job.setReducerFactory(std::move(reducer_factory));
+    if (approx == nullptr) {
+        return out;  // precise: stock Hadoop
+    }
+    // Extreme-value jobs keep full-block reads: sampling within a block
+    // would bias the per-task extreme.
+    if (extreme == nullptr) {
+        job.setInputFormat(std::make_shared<ApproxTextInputFormat>());
+    }
+    // Target mode: the first wave (or the pilot) runs precise and the
+    // controller takes over from there.
+    if (!approx->hasTarget()) {
+        job.setInitialSamplingRatio(approx->sampling_ratio);
+    }
+    job.setInitialApproximateFraction(approx->user_defined_fraction);
+    if (aggregation != nullptr && aggregation->use_moments_combiner) {
         job.setCombiner(std::make_shared<mr::MomentsCombiner>());
     }
 
-    std::unique_ptr<mr::JobController> controller;
-    if (approx.hasTarget()) {
-        // Target mode: the first wave (or the pilot) runs precise and the
-        // controller takes over from there.
-        controller =
-            std::make_unique<TargetErrorController>(approx, raw);
-        job.setController(controller.get());
-    } else {
-        job.setInitialSamplingRatio(approx.sampling_ratio);
-        if (approx.drop_ratio > 0.0) {
-            controller =
-                std::make_unique<UserRatioController>(approx.drop_ratio);
-            job.setController(controller.get());
-        }
+    if (approx->hasTarget() && aggregation != nullptr) {
+        auto target =
+            std::make_unique<TargetErrorController>(*approx, sampling);
+        out.target = target.get();
+        out.controller = std::move(target);
+    } else if (approx->hasTarget()) {
+        out.controller =
+            std::make_unique<ExtremeTargetController>(*approx, extremes);
+    } else if (approx->drop_ratio > 0.0) {
+        out.controller =
+            std::make_unique<UserRatioController>(approx->drop_ratio);
     }
+    job.setController(out.controller.get());
+    return out;
+}
 
-    mr::JobResult result = job.run();
-    if (auto* target =
-            dynamic_cast<TargetErrorController*>(controller.get())) {
-        last_target_achieved_ = target->targetAchieved();
-    }
+ApproxJobRunner::ApproxJobRunner(sim::Cluster& cluster,
+                                 const hdfs::BlockDataset& dataset,
+                                 hdfs::NameNode& namenode)
+    : cluster_(cluster), dataset_(dataset), namenode_(namenode)
+{
+}
+
+mr::JobResult
+ApproxJobRunner::run(mr::JobConfig config, const ApproxConfig* approx,
+                     mr::Job::MapperFactory mapper_factory,
+                     ReducerSet reducers)
+{
+    last_target_achieved_ = false;
+    AssembledJob assembled =
+        assembleJob(cluster_, dataset_, namenode_, std::move(config), approx,
+                    std::move(mapper_factory), std::move(reducers), obs_,
+                    epoch_sink_);
+    mr::JobResult result = assembled.job->run();
+    last_target_achieved_ = assembled.controller != nullptr &&
+                            assembled.controller->targetAchieved();
     return result;
-}
-
-mr::JobResult
-ApproxJobRunner::runThreeStageAggregation(
-    mr::JobConfig config, const ApproxConfig& approx,
-    mr::Job::MapperFactory mapper_factory,
-    ThreeStageSamplingReducer::Op op)
-{
-    last_target_achieved_ = false;
-    config.framework_overhead = approx.framework_overhead;
-
-    auto pool = std::make_shared<
-        std::vector<std::unique_ptr<ThreeStageSamplingReducer>>>();
-    for (uint32_t r = 0; r < config.num_reducers; ++r) {
-        pool->push_back(std::make_unique<ThreeStageSamplingReducer>(
-            op, approx.confidence));
-    }
-
-    mr::Job job(cluster_, dataset_, namenode_, std::move(config));
-    job.setObservability(obs_);
-    job.setEpochSink(epoch_sink_);
-    job.setMapperFactory(std::move(mapper_factory));
-    job.setReducerFactory(makeSharedFactory(pool));
-    job.setInputFormat(std::make_shared<ApproxTextInputFormat>());
-    job.setInitialSamplingRatio(approx.sampling_ratio);
-
-    std::unique_ptr<mr::JobController> controller;
-    if (approx.drop_ratio > 0.0) {
-        controller =
-            std::make_unique<UserRatioController>(approx.drop_ratio);
-        job.setController(controller.get());
-    }
-    return job.run();
-}
-
-mr::JobResult
-ApproxJobRunner::runExtreme(mr::JobConfig config, const ApproxConfig& approx,
-                            mr::Job::MapperFactory mapper_factory,
-                            bool minimum, bool values_are_extremes)
-{
-    last_target_achieved_ = false;
-    config.framework_overhead = approx.framework_overhead;
-
-    auto pool = std::make_shared<
-        std::vector<std::unique_ptr<ApproxExtremeReducer>>>();
-    std::vector<ApproxExtremeReducer*> raw;
-    for (uint32_t r = 0; r < config.num_reducers; ++r) {
-        pool->push_back(std::make_unique<ApproxExtremeReducer>(
-            minimum, approx.extreme_percentile, approx.confidence,
-            values_are_extremes));
-        raw.push_back(pool->back().get());
-    }
-
-    mr::Job job(cluster_, dataset_, namenode_, std::move(config));
-    job.setObservability(obs_);
-    job.setEpochSink(epoch_sink_);
-    job.setMapperFactory(std::move(mapper_factory));
-    job.setReducerFactory(makeSharedFactory(pool));
-    // Extreme-value jobs approximate by dropping tasks only; sampling
-    // within a block would bias the per-task extreme.
-    job.setInitialApproximateFraction(approx.user_defined_fraction);
-
-    std::unique_ptr<mr::JobController> controller;
-    if (approx.hasTarget()) {
-        controller =
-            std::make_unique<ExtremeTargetController>(approx, raw);
-        job.setController(controller.get());
-    } else if (approx.drop_ratio > 0.0) {
-        controller =
-            std::make_unique<UserRatioController>(approx.drop_ratio);
-        job.setController(controller.get());
-    }
-
-    mr::JobResult result = job.run();
-    if (auto* target =
-            dynamic_cast<ExtremeTargetController*>(controller.get())) {
-        last_target_achieved_ = target->targetAchieved();
-    }
-    return result;
-}
-
-mr::JobResult
-ApproxJobRunner::runUserDefined(mr::JobConfig config,
-                                const ApproxConfig& approx,
-                                mr::Job::MapperFactory mapper_factory,
-                                mr::Job::ReducerFactory reducer_factory)
-{
-    last_target_achieved_ = false;
-    config.framework_overhead = approx.framework_overhead;
-
-    mr::Job job(cluster_, dataset_, namenode_, std::move(config));
-    job.setObservability(obs_);
-    job.setEpochSink(epoch_sink_);
-    job.setMapperFactory(std::move(mapper_factory));
-    job.setReducerFactory(std::move(reducer_factory));
-    job.setInputFormat(std::make_shared<ApproxTextInputFormat>());
-    job.setInitialSamplingRatio(approx.sampling_ratio);
-    job.setInitialApproximateFraction(approx.user_defined_fraction);
-
-    std::unique_ptr<mr::JobController> controller;
-    if (approx.drop_ratio > 0.0) {
-        controller =
-            std::make_unique<UserRatioController>(approx.drop_ratio);
-        job.setController(controller.get());
-    }
-    return job.run();
-}
-
-mr::JobResult
-ApproxJobRunner::runPrecise(mr::JobConfig config,
-                            mr::Job::MapperFactory mapper_factory,
-                            mr::Job::ReducerFactory reducer_factory)
-{
-    mr::Job job(cluster_, dataset_, namenode_, std::move(config));
-    job.setObservability(obs_);
-    job.setEpochSink(epoch_sink_);
-    job.setMapperFactory(std::move(mapper_factory));
-    job.setReducerFactory(std::move(reducer_factory));
-    return job.run();
 }
 
 }  // namespace approxhadoop::core

@@ -2,7 +2,8 @@
 #define APPROXHADOOP_CORE_APPROX_JOB_H_
 
 #include <memory>
-#include <vector>
+#include <utility>
+#include <variant>
 
 #include "core/approx_config.h"
 #include "core/extreme_reducer.h"
@@ -19,14 +20,68 @@ struct Observability;
 
 namespace approxhadoop::core {
 
+class TargetErrorController;
+
+/** ApproxJobRunner::runAggregation's reducers. */
+struct AggregationReducers
+{
+    MultiStageSamplingReducer::Op op;
+    bool use_moments_combiner = false;
+};
+
+/** ApproxJobRunner::runThreeStageAggregation's reducers. */
+struct ThreeStageReducers
+{
+    ThreeStageSamplingReducer::Op op;
+};
+
+/** ApproxJobRunner::runExtreme's reducers. */
+struct ExtremeReducers
+{
+    bool minimum;
+    bool values_are_extremes = true;
+};
+
+/** A framework reducer family, or the caller's own factory (user-defined
+ *  and precise jobs). */
+using ReducerSet = std::variant<AggregationReducers, ThreeStageReducers,
+                                ExtremeReducers, mr::Job::ReducerFactory>;
+
+/** A job built by assembleJob(), ready to run() or start(). */
+struct AssembledJob
+{
+    std::unique_ptr<mr::Job> job;
+    /** Null when the mode runs without a controller. */
+    std::unique_ptr<mr::JobController> controller;
+    /** controller, when it is an aggregation's TargetErrorController. */
+    TargetErrorController* target = nullptr;
+};
+
+/**
+ * Builds a job and its controller: the one place that wires the sampling
+ * input format, the error-bounding reducers and the controller matching
+ * @p approx (null for a precise job). The sinks are not owned.
+ *
+ * @throws std::invalid_argument for a setting the mode would silently
+ *         ignore (a target error bound on a three-stage or user-defined
+ *         job, a sampling ratio on an extreme-value job, a user-defined
+ *         fraction on a three-stage job), and for the MomentsCombiner on
+ *         an average/ratio aggregation
+ */
+AssembledJob assembleJob(sim::Cluster& cluster,
+                         const hdfs::BlockDataset& dataset,
+                         hdfs::NameNode& namenode, mr::JobConfig config,
+                         const ApproxConfig* approx,
+                         mr::Job::MapperFactory mapper_factory,
+                         ReducerSet reducers,
+                         obs::Observability* obs = nullptr,
+                         journal::EpochSink* epoch_sink = nullptr);
+
 /**
  * High-level entry point: assembles and runs approximation-enabled jobs.
  *
- * This is the analogue of the ApproxHadoop client interface — given a
- * mapper and a reduce operation it wires up the sampling input format,
- * the error-bounding reducers, and the controller matching the
- * ApproxConfig (user-specified ratios vs. target error bound), then runs
- * the job on the simulated cluster.
+ * Each run method builds its job with assembleJob() and runs it on the
+ * simulated cluster.
  */
 class ApproxJobRunner
 {
@@ -46,19 +101,28 @@ class ApproxJobRunner
                                  const ApproxConfig& approx,
                                  mr::Job::MapperFactory mapper_factory,
                                  MultiStageSamplingReducer::Op op,
-                                 bool use_moments_combiner = false);
+                                 bool use_moments_combiner = false)
+    {
+        return run(std::move(config), &approx, std::move(mapper_factory),
+                   AggregationReducers{op, use_moments_combiner});
+    }
 
     /**
      * Runs a three-stage sampling aggregation: population units are the
      * intermediate pairs the mapper pre-aggregated into unit records
      * (see core::ThreeStageEmitter). Only user-specified ratios are
      * supported; the online optimizer targets two-stage jobs.
+     * @throws std::invalid_argument with a target error bound
      */
     mr::JobResult
     runThreeStageAggregation(mr::JobConfig config,
                              const ApproxConfig& approx,
                              mr::Job::MapperFactory mapper_factory,
-                             ThreeStageSamplingReducer::Op op);
+                             ThreeStageSamplingReducer::Op op)
+    {
+        return run(std::move(config), &approx, std::move(mapper_factory),
+                   ThreeStageReducers{op});
+    }
 
     /**
      * Runs a min/max job with GEV error bounds.
@@ -66,25 +130,39 @@ class ApproxJobRunner
      * @param minimum true for min, false for max
      * @param values_are_extremes true when each map emits a single
      *        per-task extreme (skips the Block Minima/Maxima transform)
+     * @throws std::invalid_argument with a sampling ratio below 1
      */
     mr::JobResult runExtreme(mr::JobConfig config, const ApproxConfig& approx,
                              mr::Job::MapperFactory mapper_factory,
-                             bool minimum, bool values_are_extremes = true);
+                             bool minimum, bool values_are_extremes = true)
+    {
+        return run(std::move(config), &approx, std::move(mapper_factory),
+                   ExtremeReducers{minimum, values_are_extremes});
+    }
 
     /**
      * Runs a job whose mapper derives from UserDefinedApproxMapper;
      * approx.user_defined_fraction selects the mix of approximate tasks,
      * and sampling/dropping ratios apply as usual.
+     * @throws std::invalid_argument with a target error bound
      */
     mr::JobResult runUserDefined(mr::JobConfig config,
                                  const ApproxConfig& approx,
                                  mr::Job::MapperFactory mapper_factory,
-                                 mr::Job::ReducerFactory reducer_factory);
+                                 mr::Job::ReducerFactory reducer_factory)
+    {
+        return run(std::move(config), &approx, std::move(mapper_factory),
+                   std::move(reducer_factory));
+    }
 
     /** Runs a fully precise baseline job (stock Hadoop behaviour). */
     mr::JobResult runPrecise(mr::JobConfig config,
                              mr::Job::MapperFactory mapper_factory,
-                             mr::Job::ReducerFactory reducer_factory);
+                             mr::Job::ReducerFactory reducer_factory)
+    {
+        return run(std::move(config), nullptr, std::move(mapper_factory),
+                   std::move(reducer_factory));
+    }
 
     /** True if the last target-mode run achieved its bound early. */
     bool lastTargetAchieved() const { return last_target_achieved_; }
@@ -106,14 +184,10 @@ class ApproxJobRunner
     void setEpochSink(journal::EpochSink* sink) { epoch_sink_ = sink; }
 
   private:
-    /**
-     * Pre-creates @p count reducers so controllers can observe them, and
-     * returns a factory that hands them to the job one by one.
-     */
-    template <typename ReducerT>
-    static mr::Job::ReducerFactory
-    makeSharedFactory(std::shared_ptr<std::vector<std::unique_ptr<ReducerT>>>
-                          pool);
+    /** Assembles the job with this runner's sinks and runs it. */
+    mr::JobResult run(mr::JobConfig config, const ApproxConfig* approx,
+                      mr::Job::MapperFactory mapper_factory,
+                      ReducerSet reducers);
 
     sim::Cluster& cluster_;
     const hdfs::BlockDataset& dataset_;

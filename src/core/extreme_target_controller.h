@@ -30,7 +30,7 @@ class ExtremeTargetController : public mr::JobController
                        const mr::MapTaskInfo& task) override;
 
     /** True once the target was achieved and remaining maps dropped. */
-    bool targetAchieved() const { return achieved_; }
+    bool targetAchieved() const override { return achieved_; }
 
   private:
     bool meetsTarget(const mr::JobHandle& job) const;

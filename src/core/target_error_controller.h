@@ -89,7 +89,7 @@ class TargetErrorController : public mr::JobController
     const Plan& lastPlan() const { return last_plan_; }
 
     /** True once the target was achieved and remaining maps dropped. */
-    bool targetAchieved() const { return achieved_; }
+    bool targetAchieved() const override { return achieved_; }
 
     /**
      * Accuracy-arbitration hook (src/service/): multiplies the

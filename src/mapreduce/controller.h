@@ -180,6 +180,10 @@ class JobController
      * observation (never mutate controller state). Default: stateless.
      */
     virtual std::string journalState() const { return ""; }
+
+    /** True once a target-error controller met its bound and dropped
+     *  the remaining maps. Default: no target. */
+    virtual bool targetAchieved() const { return false; }
 };
 
 }  // namespace approxhadoop::mr

@@ -842,31 +842,23 @@ Job::speculateTask(uint64_t task_id, bool endgame)
     // legacy first-found choice on homogeneous fleets, so schedules
     // there stay bit-identical to pre-elasticity builds.
     int64_t chosen = -1;
-    bool local = false;
-    for (uint32_t s : namenode_.replicas(task.block)) {
-        sim::Server& srv = cluster_.server(s);
+    auto consider = [&](const sim::Server& srv) {
         if (srv.state() == sim::ServerState::kActive &&
             srv.freeMapSlots() > 0 &&
             (chosen < 0 ||
              srv.speed() >
                  cluster_.server(static_cast<uint32_t>(chosen)).speed())) {
-            chosen = s;
-            local = true;
+            chosen = srv.id();
         }
+    };
+    for (uint32_t s : namenode_.replicas(task.block)) {
+        consider(cluster_.server(s));
     }
-    if (chosen < 0) {
-        for (sim::Server& srv : cluster_.servers()) {
-            if (srv.state() == sim::ServerState::kActive &&
-                srv.freeMapSlots() > 0 &&
-                (chosen < 0 ||
-                 srv.speed() > cluster_.server(static_cast<uint32_t>(chosen))
-                                   .speed())) {
-                chosen = srv.id();
-            }
-        }
-        if (chosen >= 0) {
-            local = namenode_.isLocal(task.block,
-                                      static_cast<uint32_t>(chosen));
+    // Without a free replica holder, whatever qualifies is remote.
+    bool local = chosen >= 0;
+    if (!local) {
+        for (const sim::Server& srv : cluster_.servers()) {
+            consider(srv);
         }
     }
     if (chosen < 0) {
@@ -1118,7 +1110,15 @@ Job::onAttemptDeclaredDead(uint64_t task_id, size_t attempt_index)
 {
     Attempt& a = exec_[task_id].attempts[attempt_index];
     assert(!a.done && a.crashed);
-    double wait = cluster_.now() - a.crashed_at;
+    noteHeartbeatTimeout(task_id, attempt_index, a.crashed_at);
+    onAttemptFailed(task_id, attempt_index);
+}
+
+void
+Job::noteHeartbeatTimeout(uint64_t task_id, size_t attempt_index,
+                          sim::SimTime crashed_at)
+{
+    double wait = cluster_.now() - crashed_at;
     if (wait > 0.0) {
         ++counters_.timeouts_detected;
         counters_.detection_wait_seconds += wait;
@@ -1127,7 +1127,6 @@ Job::onAttemptDeclaredDead(uint64_t task_id, size_t attempt_index)
                                          cluster_.now());
         }
     }
-    onAttemptFailed(task_id, attempt_index);
 }
 
 void
@@ -1144,16 +1143,8 @@ Job::onOrphanDetected(uint64_t task_id, sim::SimTime crashed_at)
             return;  // a live twin may still complete the task
         }
     }
-    double wait = cluster_.now() - crashed_at;
-    if (wait > 0.0) {
-        ++counters_.timeouts_detected;
-        counters_.detection_wait_seconds += wait;
-        if (obs_ != nullptr) {
-            obs_->trace.heartbeatTimeout(
-                task_id, exec_[task_id].attempts.size() - 1, wait,
-                cluster_.now());
-        }
-    }
+    noteHeartbeatTimeout(task_id, exec_[task_id].attempts.size() - 1,
+                         crashed_at);
     resolveFailure(task_id);
 }
 
@@ -1429,21 +1420,31 @@ Job::crashOneServer(uint32_t server, double down_for, bool leave_fleet)
     }
 }
 
+std::vector<uint32_t>
+Job::shrinkableServers() const
+{
+    std::vector<uint32_t> ids;
+    for (const sim::Server& s : cluster_.servers()) {
+        if (s.state() == sim::ServerState::kActive ||
+            s.state() == sim::ServerState::kLowPower) {
+            ids.push_back(s.id());
+        }
+    }
+    if (ids.size() <= 1) {
+        ids.clear();
+    }
+    return ids;
+}
+
 void
 Job::onRevocationStorm(ft::FaultPlan::Revocation storm, size_t storm_index)
 {
     if (job_done_ || job_failed_) {
         return;
     }
-    std::vector<uint32_t> eligible;
-    for (const sim::Server& s : cluster_.servers()) {
-        if (s.state() == sim::ServerState::kActive ||
-            s.state() == sim::ServerState::kLowPower) {
-            eligible.push_back(s.id());
-        }
-    }
-    if (eligible.size() <= 1) {
-        return;  // a storm never takes the last schedulable server
+    std::vector<uint32_t> eligible = shrinkableServers();
+    if (eligible.empty()) {
+        return;
     }
     uint32_t kills = std::min(
         storm.count, static_cast<uint32_t>(eligible.size() - 1));
@@ -1491,15 +1492,9 @@ Job::onDrain(ft::FaultPlan::Drain drain)
     if (job_done_ || job_failed_) {
         return;
     }
-    std::vector<uint32_t> eligible;  // ascending server ids
-    for (const sim::Server& s : cluster_.servers()) {
-        if (s.state() == sim::ServerState::kActive ||
-            s.state() == sim::ServerState::kLowPower) {
-            eligible.push_back(s.id());
-        }
-    }
-    if (eligible.size() <= 1) {
-        return;  // never drain the last schedulable server
+    std::vector<uint32_t> eligible = shrinkableServers();
+    if (eligible.empty()) {
+        return;
     }
     uint32_t n = std::min(
         drain.count, static_cast<uint32_t>(eligible.size() - 1));

@@ -445,6 +445,10 @@ class Job
     /** Timeout expiry for an attempt lost to a server crash: resolve
      *  the orphaned task unless a twin is still alive. */
     void onOrphanDetected(uint64_t task_id, sim::SimTime crashed_at);
+    /** Counts and traces the heartbeat timeout that declared an attempt
+     *  crashed at @p crashed_at dead, if it waited at all. */
+    void noteHeartbeatTimeout(uint64_t task_id, size_t attempt_index,
+                              sim::SimTime crashed_at);
     /**
      * Ends one live attempt: cancels its event, frees its slot, marks it
      * done, charges its time as wasted, and traces @p outcome.
@@ -492,6 +496,9 @@ class Job
      */
     void onRevocationStorm(ft::FaultPlan::Revocation storm,
                            size_t storm_index);
+    /** Active and low-power server ids, ascending; empty when only one
+     *  is left, which storms and drains never take. */
+    std::vector<uint32_t> shrinkableServers() const;
     /** Mid-job scale-out: new servers join and the scheduler fills
      *  their (remote-only) slots immediately. */
     void onScaleOut(ft::FaultPlan::ScaleOut add);

@@ -7,33 +7,12 @@
 #include <utility>
 
 #include "core/approx_config.h"
-#include "core/approx_input_format.h"
-#include "mapreduce/controller.h"
+#include "core/approx_job.h"
 #include "service/slot_arbiter.h"
 
 namespace approxhadoop::service {
 
 namespace {
-
-/**
- * Hands pre-created reducers to the job one by one (the
- * ApproxJobRunner::makeSharedFactory pattern): the controller keeps raw
- * pointers into the pool so it can watch live error estimates.
- */
-mr::Job::ReducerFactory
-sharedReducerFactory(
-    std::shared_ptr<
-        std::vector<std::unique_ptr<core::MultiStageSamplingReducer>>>
-        pool)
-{
-    auto next = std::make_shared<size_t>(0);
-    return [pool, next]() -> std::unique_ptr<mr::Reducer> {
-        if (*next >= pool->size()) {
-            throw std::logic_error("reducer pool exhausted");
-        }
-        return std::move((*pool)[(*next)++]);
-    };
-}
 
 /**
  * Achieved relative CI half-width of the binding key: the record with
@@ -386,30 +365,12 @@ JobService::admit(uint64_t id)
 
     core::ApproxConfig approx;
     approx.target_relative_error = spec_.target_rel_error;
-    config.framework_overhead = approx.framework_overhead;
-
-    // Reducer pool + controller, wired exactly as
-    // ApproxJobRunner::runAggregation does in target mode.
-    mj.pool = std::make_shared<
-        std::vector<std::unique_ptr<core::MultiStageSamplingReducer>>>();
-    std::vector<core::MultiStageSamplingReducer*> raw;
-    for (uint32_t r = 0; r < config.num_reducers; ++r) {
-        mj.pool->push_back(
-            std::make_unique<core::MultiStageSamplingReducer>(
-                w.op, approx.confidence));
-        raw.push_back(mj.pool->back().get());
-    }
-
-    mj.job = std::make_unique<mr::Job>(*cluster_, *mj.dataset,
-                                       *mj.namenode, std::move(config));
-    mj.job->setMapperFactory(w.mapper_factory());
-    mj.job->setReducerFactory(sharedReducerFactory(mj.pool));
-    mj.job->setInputFormat(
-        std::make_shared<core::ApproxTextInputFormat>());
-    mj.job->setInitialApproximateFraction(approx.user_defined_fraction);
-    mj.controller =
-        std::make_unique<core::TargetErrorController>(approx, raw);
-    mj.job->setController(mj.controller.get());
+    core::AssembledJob assembled = core::assembleJob(
+        *cluster_, *mj.dataset, *mj.namenode, std::move(config), &approx,
+        w.mapper_factory(), core::AggregationReducers{w.op});
+    mj.job = std::move(assembled.job);
+    mj.controller = std::move(assembled.controller);
+    mj.target = assembled.target;
     mj.job->setCompletionHandler(
         [this, id](bool failed, const std::string& error) {
             onJobCompletion(id, failed, error);
@@ -431,7 +392,7 @@ JobService::admit(uint64_t id)
 
     double scale = accuracy_.scaleFor(queue_.size());
     if (scale > 1.0 && spec_.tenants[mj.arrival.tenant].priority > 0) {
-        mj.controller->setTargetScale(scale);
+        mj.target->setTargetScale(scale);
         mj.applied_scale = scale;
         mj.ever_degraded = true;
     }
@@ -516,7 +477,7 @@ JobService::applyAccuracyPressure()
         if (mj.job->done() || scale == mj.applied_scale) {
             continue;
         }
-        mj.controller->setTargetScale(scale);
+        mj.target->setTargetScale(scale);
         mj.applied_scale = scale;
         if (scale > 1.0) {
             mj.ever_degraded = true;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "apps/aggregation_registry.h"
-#include "core/sampling_reducer.h"
 #include "core/target_error_controller.h"
 #include "hdfs/dataset.h"
 #include "hdfs/namenode.h"
@@ -108,10 +107,10 @@ class JobService
 
         std::unique_ptr<hdfs::BlockDataset> dataset;
         std::unique_ptr<hdfs::NameNode> namenode;
-        std::shared_ptr<
-            std::vector<std::unique_ptr<core::MultiStageSamplingReducer>>>
-            pool;
-        std::unique_ptr<core::TargetErrorController> controller;
+        /** As core::assembleJob built them; target is the controller
+         *  whose bound the AccuracyArbiter widens. */
+        std::unique_ptr<mr::JobController> controller;
+        core::TargetErrorController* target = nullptr;
         std::unique_ptr<mr::Job> job;
 
         double admit_time = 0.0;

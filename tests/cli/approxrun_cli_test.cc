@@ -3,8 +3,8 @@
  * Table-driven black-box tests of the approxrun CLI contract: malformed
  * flag values and unknown workloads must exit 2 and explain themselves
  * (flag grammar, valid workload list), retry exhaustion must exit 3,
- * and a clean run must exit 0. Drives the real binary (APPROXRUN_BIN,
- * injected by CMake) through popen.
+ * and a clean run must exit 0. Drives the real binaries (APPROXRUN_BIN
+ * and OBSCHECK_BIN, injected by CMake) through popen.
  */
 #include <sys/wait.h>
 
@@ -25,10 +25,10 @@ struct RunResult
 };
 
 RunResult
-runApproxrun(const std::string& args)
+runTool(const char* binary, const std::string& args)
 {
     RunResult out;
-    std::string cmd = std::string(APPROXRUN_BIN) + " " + args + " 2>&1";
+    std::string cmd = std::string(binary) + " " + args + " 2>&1";
     FILE* pipe = popen(cmd.c_str(), "r");
     if (pipe == nullptr) {
         ADD_FAILURE() << "popen failed for: " << cmd;
@@ -41,6 +41,12 @@ runApproxrun(const std::string& args)
     int status = pclose(pipe);
     out.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return out;
+}
+
+RunResult
+runApproxrun(const std::string& args)
+{
+    return runTool(APPROXRUN_BIN, args);
 }
 
 struct CliCase
@@ -100,6 +106,11 @@ TEST(ApproxrunCliTest, MalformedInvocationsExitTwoWithGrammar)
         {"projectpop --top -1", 2, "non-negative", "negative top"},
         {"projectpop --seed", 2, "missing value", "flag without value"},
         {"projectpop --frobnicate", 2, "unknown option", "unknown flag"},
+        // Settings the app's job mode would silently ignore.
+        {"video --target 0.05", 2, "config error",
+         "user-defined jobs take no target error bound"},
+        {"dcplacement --sampling 0.1", 2, "config error",
+         "extreme-value jobs do not sample input"},
         // Malformed fault plans re-print the full spec grammar.
         {"projectpop --fault-plan bogus=1", 2, "straggler",
          "unknown plan key shows grammar"},
@@ -256,6 +267,25 @@ TEST(ApproxrunCliTest, FaultPlanHelpMentionsEveryKey)
         EXPECT_NE(r.output.find(key), std::string::npos)
             << "fault-plan grammar omits key '" << key << "'";
     }
+}
+
+TEST(ObscheckCliTest, UnknownFlagExitsTwo)
+{
+    RunResult r = runTool(OBSCHECK_BIN, "--frobnicate x.json");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("unknown option --frobnicate"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage: obscheck"), std::string::npos)
+        << r.output;
+}
+
+TEST(ObscheckCliTest, NoFlagExitsTwo)
+{
+    RunResult r = runTool(OBSCHECK_BIN, "");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("usage: obscheck"), std::string::npos)
+        << r.output;
 }
 
 }  // namespace

@@ -19,13 +19,16 @@
  *
  * Exit codes: 0 valid, 1 validation failure, 2 usage/IO error.
  */
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/spec.h"
 #include "journal/journal.h"
 #include "mapreduce/counters.h"
 #include "obs/json.h"
@@ -35,37 +38,6 @@ using namespace approxhadoop;
 namespace {
 
 enum ExitCode { kExitOk = 0, kExitInvalid = 1, kExitBadUsage = 2 };
-
-void
-usage()
-{
-    std::printf("usage: obscheck [--report FILE] [--trace FILE] "
-                "[--service-report FILE] [--journal FILE]\n"
-                "\n"
-                "validates approxrun --report-json, --trace-out,\n"
-                "approxsvc --report-json, and approxrun --journal\n"
-                "artifacts; at least one flag is required\n"
-                "\n"
-                "exit codes: 0 valid, 1 validation failure, 2 bad "
-                "usage/unreadable file\n");
-}
-
-bool
-readFile(const std::string& path, std::string& out)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        std::fprintf(stderr, "obscheck: cannot read %s\n", path.c_str());
-        return false;
-    }
-    char buf[65536];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        out.append(buf, n);
-    }
-    std::fclose(f);
-    return true;
-}
 
 /** Collects failures so one run reports every problem, not just the
  *  first. */
@@ -87,17 +59,36 @@ struct Checker
     }
 };
 
-void
-checkReport(const std::string& path, Checker& check)
+/** The JSON artifact at @p path, or nullopt after failing the check
+ *  when it does not parse. Exits 2 when the file cannot be read. */
+std::optional<obs::JsonValue>
+parseArtifact(const std::string& path, const char* what, Checker& check)
 {
-    std::string text;
-    if (!readFile(path, text)) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr) {
+        std::fprintf(stderr, "obscheck: cannot read %s\n", path.c_str());
         std::exit(kExitBadUsage);
     }
+    std::string text;
+    char buf[65536];
+    size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+        text.append(buf, n);
+    }
+    std::fclose(f);
     std::string error;
     std::optional<obs::JsonValue> doc = obs::parseJson(text, &error);
     if (!doc) {
-        check.fail("report " + path + ": " + error);
+        check.fail(std::string(what) + " " + path + ": " + error);
+    }
+    return doc;
+}
+
+void
+checkReport(const std::string& path, Checker& check)
+{
+    std::optional<obs::JsonValue> doc = parseArtifact(path, "report", check);
+    if (!doc) {
         return;
     }
     const obs::JsonValue& v = *doc;
@@ -210,14 +201,9 @@ checkReport(const std::string& path, Checker& check)
 void
 checkServiceReport(const std::string& path, Checker& check)
 {
-    std::string text;
-    if (!readFile(path, text)) {
-        std::exit(kExitBadUsage);
-    }
-    std::string error;
-    std::optional<obs::JsonValue> doc = obs::parseJson(text, &error);
+    std::optional<obs::JsonValue> doc =
+        parseArtifact(path, "service report", check);
     if (!doc) {
-        check.fail("service report " + path + ": " + error);
         return;
     }
     const obs::JsonValue& v = *doc;
@@ -286,14 +272,8 @@ checkServiceReport(const std::string& path, Checker& check)
 void
 checkTrace(const std::string& path, Checker& check)
 {
-    std::string text;
-    if (!readFile(path, text)) {
-        std::exit(kExitBadUsage);
-    }
-    std::string error;
-    std::optional<obs::JsonValue> doc = obs::parseJson(text, &error);
+    std::optional<obs::JsonValue> doc = parseArtifact(path, "trace", check);
     if (!doc) {
-        check.fail("trace " + path + ": " + error);
         return;
     }
     const obs::JsonValue& events = doc->at("traceEvents");
@@ -459,55 +439,74 @@ checkJournal(const std::string& path, Checker& check)
     }
 }
 
+/** One artifact kind: its flag, what writes it, and its validator. */
+struct Artifact
+{
+    const char* flag;
+    const char* help;
+    void (*check)(const std::string& path, Checker& check);
+};
+
+const Artifact kArtifacts[] = {
+    {"--report", "approxrun --report-json artifact", checkReport},
+    {"--trace", "approxrun --trace-out artifact", checkTrace},
+    {"--service-report", "approxsvc --report-json artifact",
+     checkServiceReport},
+    {"--journal", "approxrun --journal artifact", checkJournal},
+};
+
+/** The file given for each artifact kind; empty when not given. */
+using Paths = std::array<std::string, std::size(kArtifacts)>;
+
+const spec::Table<Paths>&
+flags()
+{
+    static const spec::Table<Paths> kFlags = [] {
+        spec::Table<Paths> table;
+        for (size_t i = 0; i < std::size(kArtifacts); ++i) {
+            table.push_back({kArtifacts[i].flag, "FILE", kArtifacts[i].help,
+                             [i](Paths& p, const std::string& v) {
+                                 p[i] = spec::path(v);
+                             }});
+        }
+        return table;
+    }();
+    return kFlags;
+}
+
+void
+usage()
+{
+    std::printf("usage: obscheck FLAG FILE [FLAG FILE ...]\n\n"
+                "validates observability and journal artifacts; at least\n"
+                "one flag is required\n\n%s\n"
+                "exit codes: 0 valid, 1 validation failure, 2 bad "
+                "usage/unreadable file\n",
+                spec::help(flags(), 26).c_str());
+}
+
 }  // namespace
 
 int
 main(int argc, char** argv)
 {
-    std::string report_path;
-    std::string trace_path;
-    std::string service_path;
-    std::string journal_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--report" && i + 1 < argc) {
-            report_path = argv[++i];
-        } else if (arg == "--trace" && i + 1 < argc) {
-            trace_path = argv[++i];
-        } else if (arg == "--service-report" && i + 1 < argc) {
-            service_path = argv[++i];
-        } else if (arg == "--journal" && i + 1 < argc) {
-            journal_path = argv[++i];
-        } else {
-            usage();
-            return kExitBadUsage;
-        }
-    }
-    if (report_path.empty() && trace_path.empty() &&
-        service_path.empty() && journal_path.empty()) {
+    Paths paths;
+    if (!spec::parseFlags(argc, argv, 1, flags(), paths) ||
+        paths == Paths{}) {
         usage();
         return kExitBadUsage;
     }
     Checker check;
-    if (!report_path.empty()) {
-        checkReport(report_path, check);
-    }
-    if (!trace_path.empty()) {
-        checkTrace(trace_path, check);
-    }
-    if (!service_path.empty()) {
-        checkServiceReport(service_path, check);
-    }
-    if (!journal_path.empty()) {
-        checkJournal(journal_path, check);
+    std::string checked;
+    for (size_t i = 0; i < paths.size(); ++i) {
+        if (!paths[i].empty()) {
+            kArtifacts[i].check(paths[i], check);
+            checked += " " + paths[i];
+        }
     }
     if (check.failures > 0) {
         return kExitInvalid;
     }
-    std::printf("obscheck OK:%s%s%s%s\n",
-                report_path.empty() ? "" : (" " + report_path).c_str(),
-                trace_path.empty() ? "" : (" " + trace_path).c_str(),
-                service_path.empty() ? "" : (" " + service_path).c_str(),
-                journal_path.empty() ? "" : (" " + journal_path).c_str());
+    std::printf("obscheck OK:%s\n", checked.c_str());
     return kExitOk;
 }
