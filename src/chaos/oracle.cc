@@ -257,11 +257,12 @@ replayClusters(const apps::AggregationWorkload& workload,
         stats::ClusterSample cluster;
         cluster.units_total = task.items_total;
         cluster.units_sampled = sample.size();
-        for (const mr::KeyValue& kv : ctx.output()) {
-            if (kv.key != key) {
+        const mr::RecordWriter& output = ctx.output();
+        for (const mr::Row& row : output) {
+            if (output.key(row) != key) {
                 continue;
             }
-            double v = count_op ? 1.0 : kv.value;
+            double v = count_op ? 1.0 : row.value;
             ++cluster.emitted;
             cluster.sum += v;
             cluster.sum_squares += v * v;

@@ -93,24 +93,33 @@ Mt19937_64::seedInLockstep(Mt19937_64* const* engines, size_t count,
     }
 }
 
-std::ostream&
-operator<<(std::ostream& os, const Mt19937_64& e)
+size_t
+Mt19937_64::writeText(char* out) const
 {
-    Mt19937_64 full = e;
+    static_assert(kTextBytes == kStateWords * 21 + 20);
+    Mt19937_64 full = *this;
     if (full.lazy_) {
         full.materialize();
     }
     // std::mt19937_64's text: every word in decimal followed by a space,
-    // then the index. Formatted here rather than word by word through the
-    // stream, so a journal epoch's rng digest costs one write.
-    char text[Mt19937_64::kStateWords * 21 + 20];
-    char* out = text;
+    // then the index.
+    char* end = out + kTextBytes;
+    char* p = out;
     for (uint64_t word : full.x_) {
-        out = std::to_chars(out, std::end(text), word).ptr;
-        *out++ = ' ';
+        p = std::to_chars(p, end, word).ptr;
+        *p++ = ' ';
     }
-    out = std::to_chars(out, std::end(text), full.p_).ptr;
-    return os.write(text, out - text);
+    p = std::to_chars(p, end, full.p_).ptr;
+    return static_cast<size_t>(p - out);
+}
+
+std::ostream&
+operator<<(std::ostream& os, const Mt19937_64& e)
+{
+    // Formatted into a buffer rather than word by word through the
+    // stream, so printing costs one write.
+    char text[Mt19937_64::kTextBytes];
+    return os.write(text, static_cast<std::streamsize>(e.writeText(text)));
 }
 
 uint64_t

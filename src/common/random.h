@@ -76,6 +76,17 @@ class Mt19937_64
     /** Prints the state exactly as std::mt19937_64's operator<< does. */
     friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
 
+    /** Room writeText() needs: 312 words of up to 20 digits and a
+     *  space each, then the index. */
+    static constexpr size_t kTextBytes = 312 * 21 + 20;
+
+    /**
+     * Writes the text operator<< prints into @p out, which holds at
+     * least kTextBytes, and returns its length: for digesting the state
+     * without a stream.
+     */
+    size_t writeText(char* out) const;
+
     /** The twist's middle distance m (n/2 for the 64-bit engine). */
     static constexpr size_t kShift = 156;
     /** Engines seedInLockstep() advances together. */

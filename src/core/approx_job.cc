@@ -66,6 +66,27 @@ checkSettings(const ApproxConfig& approx, const ReducerSet& reducers)
         throw std::invalid_argument(
             "extreme-value jobs approximate by dropping tasks only");
     }
+    // Target mode chooses the ratios itself; only the target controller
+    // runs a pilot; only user-defined mappers have an approximate
+    // variant for the fraction to select.
+    if (approx.hasTarget() &&
+        (approx.sampling_ratio != 1.0 || approx.drop_ratio > 0.0)) {
+        throw std::invalid_argument(
+            "a target error bound chooses the sampling and drop ratios; "
+            "set one or the other");
+    }
+    if (approx.pilot.enabled &&
+        !(approx.hasTarget() && aggregation != nullptr)) {
+        throw std::invalid_argument(
+            "a pilot wave runs only for a target on an aggregation job");
+    }
+    if (approx.user_defined_fraction > 0.0 &&
+        (aggregation != nullptr ||
+         std::holds_alternative<ExtremeReducers>(reducers))) {
+        throw std::invalid_argument(
+            "aggregation and extreme-value mappers have no user-defined "
+            "approximate variant");
+    }
 }
 
 }  // namespace

@@ -64,9 +64,11 @@ struct AssembledJob
  *
  * @throws std::invalid_argument for a setting the mode would silently
  *         ignore (a target error bound on a three-stage or user-defined
- *         job, a sampling ratio on an extreme-value job, a user-defined
- *         fraction on a three-stage job), and for the MomentsCombiner on
- *         an average/ratio aggregation
+ *         job, a sampling ratio on an extreme-value job, a sampling or
+ *         drop ratio next to a target, a pilot wave anywhere but a
+ *         target on an aggregation job, a user-defined fraction on
+ *         anything but a user-defined job), and for the MomentsCombiner
+ *         on an average/ratio aggregation
  */
 AssembledJob assembleJob(sim::Cluster& cluster,
                          const hdfs::BlockDataset& dataset,

@@ -23,8 +23,13 @@ void
 ApproxExtremeReducer::consume(const mr::MapOutputChunk& chunk)
 {
     ++clusters_;
-    for (const mr::KeyValue& kv : chunk.records) {
-        values_[kv.key].push_back(kv.value);
+    // Each of the chunk's keys finds its value list once.
+    chunk_values_.resize(chunk.keys.size());
+    for (uint32_t k = 0; k < chunk.keys.size(); ++k) {
+        chunk_values_[k] = &values_[std::string(chunk.keys.key(k))];
+    }
+    for (const mr::Row& row : chunk.records) {
+        chunk_values_[row.key]->push_back(row.value);
     }
 }
 

@@ -58,6 +58,8 @@ class ApproxExtremeReducer : public ErrorBoundedReducer
     bool values_are_extremes_;
     uint64_t clusters_ = 0;
     std::map<std::string, std::vector<double>> values_;
+    /** The chunk being folded, by chunk key id: its key's value list. */
+    std::vector<std::vector<double>*> chunk_values_;
 };
 
 /** Convenience subclass matching the paper's class name. */

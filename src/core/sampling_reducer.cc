@@ -32,57 +32,50 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
 
     if (op_ == Op::kSum || op_ == Op::kCount) {
         // Fold this cluster's per-key moments into O(1)-per-key state.
-        // One intern probe per record, skipped while a run of records
-        // repeats its predecessor's key (chunks out of the map-side
-        // combiner carry each key once, sorted). chunk_ collects the
-        // chunk's distinct keys in first-seen order, and each key finds
-        // its entry through its aggregate's chunk_slot, so the chunk
-        // needs no table of its own.
-        chunk_.clear();
-        const std::string* run_key = nullptr;
-        Moments* m = nullptr;
-        for (const mr::KeyValue& kv : chunk.records) {
-            if (run_key == nullptr || kv.key != *run_key) {
-                uint32_t id = keys_.intern(kv.key);
-                if (id == aggs_.size()) {
-                    aggs_.emplace_back();
-                }
-                uint32_t& slot = aggs_[id].chunk_slot;
-                if (slot >= chunk_.size() || chunk_[slot].first != id) {
-                    slot = static_cast<uint32_t>(chunk_.size());
-                    chunk_.emplace_back(id, Moments{});
-                }
-                m = &chunk_[slot].second;
-                run_key = &kv.key;
+        // One intern per distinct key of the chunk, in the order of each
+        // key's first row; chunk_ holds the chunk's moments by chunk key
+        // id, so the keys fold in first-seen order and new keys join
+        // dirty_ (and later image_) in the order the chunk introduced
+        // them.
+        size_t nkeys = chunk.keys.size();
+        chunk_ids_.resize(nkeys);
+        for (uint32_t k = 0; k < nkeys; ++k) {
+            uint32_t id = keys_.intern(chunk.keys.key(k));
+            if (id == aggs_.size()) {
+                aggs_.emplace_back();
             }
-            if (mr::MomentsCombiner::isMomentsRecord(kv)) {
+            chunk_ids_[k] = id;
+        }
+        chunk_.assign(nkeys, Moments{});
+        for (const mr::Row& row : chunk.records) {
+            Moments& m = chunk_[row.key];
+            if (mr::MomentsCombiner::isMomentsRecord(row)) {
                 // Map-side MomentsCombiner output: unpack (sum, sum_sq,
                 // count) so bounds match the uncombined execution.
-                uint64_t count = static_cast<uint64_t>(kv.value3);
-                m->count += count;
+                uint64_t count = static_cast<uint64_t>(row.value3);
+                m.count += count;
                 if (op_ == Op::kCount) {
-                    m->sum += static_cast<double>(count);
-                    m->sum_sq += static_cast<double>(count);
+                    m.sum += static_cast<double>(count);
+                    m.sum_sq += static_cast<double>(count);
                 } else {
-                    m->sum += kv.value;
-                    m->sum_sq += kv.value2;
+                    m.sum += row.value;
+                    m.sum_sq += row.value2;
                 }
                 continue;
             }
-            double v = op_ == Op::kCount ? 1.0 : kv.value;
-            ++m->count;
-            m->sum += v;
-            m->sum_sq += v * v;
+            double v = op_ == Op::kCount ? 1.0 : row.value;
+            ++m.count;
+            m.sum += v;
+            m.sum_sq += v * v;
         }
-        // Keys fold in first-seen order, so new keys join dirty_ (and
-        // later image_) in the order the chunk introduced them.
         double big_m = static_cast<double>(chunk.items_total);
         double mi = static_cast<double>(chunk.items_processed);
-        for (const auto& [id, km] : chunk_) {
-            SumAggregate& agg = aggs_[id];
+        for (uint32_t k = 0; k < nkeys; ++k) {
+            SumAggregate& agg = aggs_[chunk_ids_[k]];
+            const Moments& km = chunk_[k];
             if (!agg.dirty) {
                 agg.dirty = true;
-                dirty_.push_back(id);
+                dirty_.push_back(chunk_ids_[k]);
             }
             ++agg.emitted_clusters;
             agg.records += km.count;
@@ -102,15 +95,21 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
         return;
     }
 
-    // kAverage / kRatio: keep per-cluster samples per key.
+    // kAverage / kRatio: keep per-cluster samples per key; each of the
+    // chunk's keys finds its sample once.
     cluster_sizes_.emplace_back(chunk.items_total, chunk.items_processed);
-    for (const mr::KeyValue& kv : chunk.records) {
+    ratio_slots_.resize(chunk.keys.size());
+    for (uint32_t k = 0; k < chunk.keys.size(); ++k) {
         stats::RatioClusterSample& s =
-            ratio_data_[kv.key][cluster_index];
+            ratio_data_[std::string(chunk.keys.key(k))][cluster_index];
         s.units_total = chunk.items_total;
         s.units_sampled = chunk.items_processed;
-        double y = kv.value;
-        double x = op_ == Op::kAverage ? 1.0 : kv.value2;
+        ratio_slots_[k] = &s;
+    }
+    for (const mr::Row& row : chunk.records) {
+        stats::RatioClusterSample& s = *ratio_slots_[row.key];
+        double y = row.value;
+        double x = op_ == Op::kAverage ? 1.0 : row.value2;
         s.sum_y += y;
         s.sum_squares_y += y * y;
         s.sum_x += x;

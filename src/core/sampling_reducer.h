@@ -169,9 +169,6 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
         mutable size_t image_offset = 0;
         /** Consumed since image_ was last refreshed (listed in dirty_). */
         mutable bool dirty = false;
-        /** Index of this key's entry in chunk_ while a chunk is folded;
-         *  valid only when chunk_[chunk_slot].first is this key's id. */
-        uint32_t chunk_slot = 0;
     };
 
     /** One chunk's moments for one key. */
@@ -218,9 +215,10 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     // keys_ (first-seen order) that indexes aggs_.
     mr::KeyInterner keys_;
     std::vector<SumAggregate> aggs_;
-    /** The chunk being folded: its distinct keys in first-seen order,
-     *  each with the chunk's moments; kept only to reuse its memory. */
-    std::vector<std::pair<uint32_t, Moments>> chunk_;
+    /** The chunk being folded, by chunk key id: our id for the key and
+     *  the chunk's moments for it; kept only to reuse their memory. */
+    std::vector<uint32_t> chunk_ids_;
+    std::vector<Moments> chunk_;
 
     /**
      * Every id, sorted by key string. The scans walk keys in this order,
@@ -266,6 +264,9 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     std::map<std::string,
              std::unordered_map<uint64_t, stats::RatioClusterSample>>
         ratio_data_;
+    /** The chunk being folded, by chunk key id: its key's sample for
+     *  the chunk's cluster. */
+    std::vector<stats::RatioClusterSample*> ratio_slots_;
 };
 
 }  // namespace approxhadoop::core

@@ -19,8 +19,11 @@ ThreeStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
     ++clusters_;
     cluster_sizes_.emplace_back(chunk.items_total, chunk.items_processed);
 
-    for (const mr::KeyValue& kv : chunk.records) {
-        std::vector<stats::ThreeStageCluster>& clusters = data_[kv.key];
+    // Each of the chunk's keys finds its cluster list once.
+    chunk_units_.resize(chunk.keys.size());
+    for (uint32_t k = 0; k < chunk.keys.size(); ++k) {
+        std::vector<stats::ThreeStageCluster>& clusters =
+            data_[std::string(chunk.keys.key(k))];
         // Clusters arrive in order; pad with empty entries for clusters
         // that emitted nothing for this key so indices line up.
         while (clusters.size() <= cluster_index) {
@@ -30,12 +33,15 @@ ThreeStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
             c.units_sampled = cluster_sizes_[idx].second;
             clusters.push_back(c);
         }
+        chunk_units_[k] = &clusters[cluster_index].units;
+    }
+    for (const mr::Row& row : chunk.records) {
         stats::UnitSample unit;
-        unit.sum = kv.value;
-        unit.sum_squares = kv.value2;
-        unit.subunits_total = static_cast<uint64_t>(kv.value3);
-        unit.subunits_sampled = static_cast<uint64_t>(kv.value4);
-        clusters[cluster_index].units.push_back(unit);
+        unit.sum = row.value;
+        unit.sum_squares = row.value2;
+        unit.subunits_total = static_cast<uint64_t>(row.value3);
+        unit.subunits_sampled = static_cast<uint64_t>(row.value4);
+        chunk_units_[row.key]->push_back(unit);
     }
 }
 

@@ -38,13 +38,8 @@ class ThreeStageEmitter
              uint64_t subunits_total, uint64_t subunits_sampled, double sum,
              double sum_squares)
     {
-        mr::KeyValue kv;
-        kv.key = key;
-        kv.value = sum;
-        kv.value2 = sum_squares;
-        kv.value3 = static_cast<double>(subunits_total);
-        kv.value4 = static_cast<double>(subunits_sampled);
-        ctx.emit(std::move(kv));
+        ctx.write(key, sum, sum_squares, static_cast<double>(subunits_total),
+                  static_cast<double>(subunits_sampled));
     }
 };
 
@@ -78,6 +73,9 @@ class ThreeStageSamplingReducer : public ErrorBoundedReducer
     uint64_t clusters_ = 0;
     /** Per key: the per-cluster nested samples. */
     std::map<std::string, std::vector<stats::ThreeStageCluster>> data_;
+    /** The chunk being folded, by chunk key id: its key's unit list for
+     *  the chunk's cluster. */
+    std::vector<std::vector<stats::UnitSample>*> chunk_units_;
     /** (M_i, m_i) for every consumed cluster, for implicit-zero rows. */
     std::vector<std::pair<uint64_t, uint64_t>> cluster_sizes_;
 };

@@ -101,6 +101,31 @@ GeneratedDataset::item(uint64_t block, uint64_t index) const
 }
 
 void
+RecordBuffer::appendFrom(const RecordBuffer& source, const uint64_t* indices,
+                         size_t count)
+{
+    bool whole =
+        bytes_.empty() && ends_.empty() && count == source.size();
+    for (size_t i = 0; whole && i < count; ++i) {
+        whole = indices[i] == i;
+    }
+    if (whole) {
+        bytes_ = source.bytes_;
+        ends_ = source.ends_;
+        return;
+    }
+    size_t bytes = 0;
+    for (size_t i = 0; i < count; ++i) {
+        bytes += source.record(indices[i]).size();
+    }
+    bytes_.reserve(bytes_.size() + bytes);
+    ends_.reserve(ends_.size() + count);
+    for (size_t i = 0; i < count; ++i) {
+        append(source.record(indices[i]));
+    }
+}
+
+void
 GeneratedDataset::generate(uint64_t block, const uint64_t* indices,
                            size_t count, RecordBuffer& out) const
 {
@@ -122,9 +147,7 @@ GeneratedDataset::readItems(uint64_t block, const uint64_t* indices,
         std::lock_guard<std::mutex> lock(cache_mu_);
         auto it = cache_.find(block);
         if (it != cache_.end()) {
-            for (size_t i = 0; i < count; ++i) {
-                out.append(it->second.record(indices[i]));
-            }
+            out.appendFrom(it->second, indices, count);
             return;
         }
     }
@@ -144,9 +167,7 @@ GeneratedDataset::readItems(uint64_t block, const uint64_t* indices,
     std::vector<uint64_t> all(items_per_block_);
     std::iota(all.begin(), all.end(), 0);
     generate(block, all.data(), all.size(), full);
-    for (size_t i = 0; i < count; ++i) {
-        out.append(full.record(indices[i]));
-    }
+    out.appendFrom(full, indices, count);
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (cache_bytes_ + full.payloadBytes() <= cache_cap_bytes_ &&
         cache_.find(block) == cache_.end()) {

@@ -34,6 +34,15 @@ class RecordBuffer
         endRecord();
     }
 
+    /**
+     * Appends records @p indices[0..count) of @p source, in that order.
+     * An empty buffer asked for every record of @p source in order copies
+     * its bytes and boundaries wholesale; otherwise the buffer reserves
+     * room for the records before appending them one by one.
+     */
+    void appendFrom(const RecordBuffer& source, const uint64_t* indices,
+                    size_t count);
+
     /** Number of complete records. */
     size_t size() const { return ends_.size(); }
 

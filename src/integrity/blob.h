@@ -41,6 +41,13 @@ storeDouble(char* out, double v)
 class BlobWriter
 {
   public:
+    /** Writes into a buffer of its own. */
+    BlobWriter() : buf_(own_) {}
+    /** Appends to @p out in place, e.g. a payload inside a larger image. */
+    explicit BlobWriter(std::string& out) : buf_(out) {}
+    BlobWriter(const BlobWriter&) = delete;
+    BlobWriter& operator=(const BlobWriter&) = delete;
+
     void putU64(uint64_t v);
     /** Bit-exact double encoding. */
     void putDouble(double v);
@@ -51,7 +58,8 @@ class BlobWriter
     std::string release() { return std::move(buf_); }
 
   private:
-    std::string buf_;
+    std::string own_;
+    std::string& buf_;
 };
 
 /**

@@ -1,7 +1,7 @@
 #include "integrity/chunk_integrity.h"
 
 #include <cstring>
-#include <string>
+#include <string_view>
 
 #include "integrity/blob.h"
 #include "integrity/checksum.h"
@@ -12,6 +12,22 @@ namespace {
 
 /** Fixed hash seed: chunk digests are stable across jobs and replays. */
 constexpr uint64_t kChunkHashSeed = 0x5CA1AB1E0DDBA11ULL;
+
+/** Bytes of the record stream buffered per Hasher64::update(). */
+constexpr size_t kFlushBytes = 4096;
+
+/** Stream bytes of a row's four values. */
+constexpr size_t kValueBytes = 32;
+
+/** Writes @p row's four values' stream bytes at @p p. */
+void
+putValues(char* p, const mr::Row& row)
+{
+    storeDouble(p, row.value);
+    storeDouble(p + 8, row.value2);
+    storeDouble(p + 16, row.value3);
+    storeDouble(p + 24, row.value4);
+}
 
 }  // namespace
 
@@ -24,23 +40,35 @@ chunkChecksum(const mr::MapOutputChunk& chunk)
     h.update(chunk.items_processed);
     h.update(chunk.records_skipped);
     h.update(static_cast<uint64_t>(chunk.records.size()));
-    // One update per record, over exactly the bytes the field-by-field
-    // Hasher64 calls would feed: the LE key length, the key bytes, then
-    // the four values' LE bit patterns.
-    std::string buf;
-    for (const mr::KeyValue& kv : chunk.records) {
-        size_t key_len = kv.key.size();
-        buf.resize(8 + key_len + 32);
-        char* p = buf.data();
-        storeU64(p, key_len);
-        std::memcpy(p + 8, kv.key.data(), key_len);
-        p += 8 + key_len;
-        storeDouble(p, kv.value);
-        storeDouble(p + 8, kv.value2);
-        storeDouble(p + 16, kv.value3);
-        storeDouble(p + 24, kv.value4);
-        h.update(buf.data(), buf.size());
+    // The records' byte stream is exactly what field-by-field Hasher64
+    // calls would feed — per row the LE key length, the key bytes, then
+    // the four values' LE bit patterns — built in a buffer and hashed a
+    // block at a time. An XXH64 digest does not depend on how its input
+    // is split across updates.
+    char buf[kFlushBytes];
+    size_t used = 0;
+    for (const mr::Row& row : chunk.records) {
+        std::string_view key = chunk.key(row);
+        size_t len = 8 + key.size() + kValueBytes;
+        if (used + len > kFlushBytes) {
+            h.update(buf, used);
+            used = 0;
+            if (len > kFlushBytes) {
+                // A key longer than the buffer streams in place.
+                h.update(static_cast<uint64_t>(key.size()));
+                h.update(key.data(), key.size());
+                putValues(buf, row);
+                h.update(buf, kValueBytes);
+                continue;
+            }
+        }
+        char* p = buf + used;
+        storeU64(p, key.size());
+        std::memcpy(p + 8, key.data(), key.size());
+        putValues(p + 8 + key.size(), row);
+        used += len;
     }
+    h.update(buf, used);
     return h.digest();
 }
 
@@ -66,11 +94,11 @@ corruptChunk(mr::MapOutputChunk& chunk, Rng& rng)
         return;
     }
     size_t idx = static_cast<size_t>(rng.uniformInt(chunk.records.size()));
-    mr::KeyValue& kv = chunk.records[idx];
+    mr::Row& row = chunk.records[idx];
     uint64_t bits = 0;
-    std::memcpy(&bits, &kv.value, sizeof(bits));
+    std::memcpy(&bits, &row.value, sizeof(bits));
     bits ^= 1ULL << rng.uniformInt(64);
-    std::memcpy(&kv.value, &bits, sizeof(bits));
+    std::memcpy(&row.value, &bits, sizeof(bits));
 }
 
 }  // namespace approxhadoop::integrity

@@ -48,7 +48,7 @@ readRawU64(const std::string& bytes, size_t pos)
 }
 
 uint64_t
-stampOf(const std::string& payload)
+stampOf(std::string_view payload)
 {
     return integrity::hash64(payload.data(), payload.size(), kFrameSeed);
 }
@@ -223,7 +223,15 @@ RunSpec::deserialize(const std::string& blob)
 std::string
 encodeEpoch(const Epoch& epoch, ReducerBase& base)
 {
-    integrity::BlobWriter w;
+    std::string out;
+    encodeEpoch(epoch, base, out);
+    return out;
+}
+
+void
+encodeEpoch(const Epoch& epoch, ReducerBase& base, std::string& out)
+{
+    integrity::BlobWriter w(out);
     w.putU64(epoch.index);
     w.putU64(epoch.kind);
     w.putU64(static_cast<uint64_t>(static_cast<int64_t>(epoch.wave)));
@@ -253,7 +261,6 @@ encodeEpoch(const Epoch& epoch, ReducerBase& base)
     for (uint64_t r : epoch.reducer_records) {
         w.putU64(r);
     }
-    return w.release();
 }
 
 Epoch
@@ -535,7 +542,7 @@ JobJournal::adoptLoaded(LoadedJournal loaded, std::string bytes,
             throw JournalError("journal: write error during resume");
         }
     }
-    appendFrame(encodeEpoch(marker, base_));
+    appendEpochFrame(marker);
 }
 
 std::unique_ptr<JobJournal>
@@ -595,7 +602,7 @@ JobJournal::onEpoch(const Epoch& epoch)
         ++cursor_;
         return;
     }
-    appendFrame(encodeEpoch(epoch, base_));
+    appendEpochFrame(epoch);
 }
 
 void
@@ -608,19 +615,49 @@ JobJournal::openFileTruncated(const std::string& path)
 }
 
 void
-JobJournal::appendFrame(const std::string& payload)
+JobJournal::appendFrame(std::string_view payload)
+{
+    size_t start = beginFrame();
+    image_ += payload;
+    endFrame(start);
+}
+
+void
+JobJournal::appendEpochFrame(const Epoch& epoch)
+{
+    size_t start = beginFrame();
+    try {
+        encodeEpoch(epoch, base_, image_);
+    } catch (...) {
+        image_.resize(start);
+        throw;
+    }
+    endFrame(start);
+}
+
+size_t
+JobJournal::beginFrame()
 {
     size_t start = image_.size();
-    putRawU64(image_, payload.size());
-    image_ += payload;
-    putRawU64(image_, stampOf(payload));
+    putRawU64(image_, 0);
+    return start;
+}
+
+void
+JobJournal::endFrame(size_t start)
+{
+    size_t payload = start + 8;
+    size_t len = image_.size() - payload;
+    integrity::storeU64(image_.data() + start, len);
+    putRawU64(image_,
+              stampOf(std::string_view(image_.data() + payload, len)));
     if (file_ != nullptr) {
         // Flush frame-at-a-time: a SIGKILL leaves at worst one torn
         // frame at the tail, which parseJournal() discards. (Page-cache
         // durability is enough — we recover from process death, not
         // power loss.)
-        size_t len = image_.size() - start;
-        if (std::fwrite(image_.data() + start, 1, len, file_) != len ||
+        size_t bytes = image_.size() - start;
+        if (std::fwrite(image_.data() + start, 1, bytes, file_) != bytes ||
             std::fflush(file_) != 0) {
             image_.resize(start);
             throw JournalError("journal: write error");

@@ -144,6 +144,8 @@ using BlobStore = std::deque<std::string>;
  * delta that its base cannot satisfy.
  */
 std::string encodeEpoch(const Epoch& epoch, ReducerBase& base);
+/** encodeEpoch appending the blob to @p out in place. */
+void encodeEpoch(const Epoch& epoch, ReducerBase& base, std::string& out);
 Epoch decodeEpoch(const std::string& blob, ReducerBase& base,
                   BlobStore& store);
 
@@ -228,7 +230,17 @@ class JobJournal : public EpochSink
 
     void adoptLoaded(LoadedJournal loaded, std::string bytes,
                      const std::string* path);
-    void appendFrame(const std::string& payload);
+    /** Appends a frame holding @p payload. */
+    void appendFrame(std::string_view payload);
+    /** Appends a frame holding @p epoch, encoded in place. */
+    void appendEpochFrame(const Epoch& epoch);
+    /** Starts a frame at the end of image_ (a length placeholder) and
+     *  returns its offset; the payload follows it. */
+    size_t beginFrame();
+    /** Patches the length of the frame begun at @p start, stamps its
+     *  payload and writes the frame to the file, if any. On a write
+     *  error the image is rolled back to @p start. */
+    void endFrame(size_t start);
     void openFileTruncated(const std::string& path);
 
     RunSpec spec_;

@@ -3,68 +3,40 @@
 namespace approxhadoop::mr {
 
 void
-SumCombiner::combine(const std::string& key,
-                     const std::vector<KeyValue>& values,
-                     std::vector<KeyValue>& out)
-{
-    combineGroup(key, values.data(), values.size(), out);
-}
-
-void
-SumCombiner::combineGroup(const std::string& key, const KeyValue* values,
-                          size_t count, std::vector<KeyValue>& out)
+SumCombiner::combine(std::string_view key, const Row* rows, size_t count,
+                     RecordWriter& out)
 {
     double sum = 0.0;
     for (size_t i = 0; i < count; ++i) {
-        sum += values[i].value;
+        sum += rows[i].value;
     }
-    out.push_back(KeyValue{key, sum, 0.0, 0.0, 0.0});
+    out.write(key, sum);
 }
 
 void
-CountCombiner::combine(const std::string& key,
-                       const std::vector<KeyValue>& values,
-                       std::vector<KeyValue>& out)
+CountCombiner::combine(std::string_view key, const Row* /*rows*/,
+                       size_t count, RecordWriter& out)
 {
-    combineGroup(key, values.data(), values.size(), out);
+    out.write(key, static_cast<double>(count));
 }
 
 void
-CountCombiner::combineGroup(const std::string& key,
-                            const KeyValue* /*values*/, size_t count,
-                            std::vector<KeyValue>& out)
-{
-    out.push_back(
-        KeyValue{key, static_cast<double>(count), 0.0, 0.0, 0.0});
-}
-
-void
-MomentsCombiner::combine(const std::string& key,
-                         const std::vector<KeyValue>& values,
-                         std::vector<KeyValue>& out)
-{
-    combineGroup(key, values.data(), values.size(), out);
-}
-
-void
-MomentsCombiner::combineGroup(const std::string& key,
-                              const KeyValue* values, size_t count,
-                              std::vector<KeyValue>& out)
+MomentsCombiner::combine(std::string_view key, const Row* rows,
+                         size_t count, RecordWriter& out)
 {
     double sum = 0.0;
     double sum_sq = 0.0;
     for (size_t i = 0; i < count; ++i) {
-        sum += values[i].value;
-        sum_sq += values[i].value * values[i].value;
+        sum += rows[i].value;
+        sum_sq += rows[i].value * rows[i].value;
     }
-    out.push_back(KeyValue{key, sum, sum_sq, static_cast<double>(count),
-                           kMomentsMarker});
+    out.write(key, sum, sum_sq, static_cast<double>(count), kMomentsMarker);
 }
 
 bool
-MomentsCombiner::isMomentsRecord(const KeyValue& kv)
+MomentsCombiner::isMomentsRecord(const Row& row)
 {
-    return kv.value4 == kMomentsMarker;
+    return row.value4 == kMomentsMarker;
 }
 
 }  // namespace approxhadoop::mr

@@ -1,10 +1,10 @@
 #ifndef APPROXHADOOP_MAPREDUCE_COMBINER_H_
 #define APPROXHADOOP_MAPREDUCE_COMBINER_H_
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <string_view>
 
-#include "mapreduce/types.h"
+#include "mapreduce/records.h"
 
 namespace approxhadoop::mr {
 
@@ -34,28 +34,14 @@ class Combiner
     /**
      * Combines all records of one key emitted by one map task.
      *
-     * @param key    the intermediate key
-     * @param values that key's records from this map task
-     * @param out    sink for the combined record(s)
+     * @param key   the intermediate key
+     * @param rows  that key's @p count rows from this map task, in
+     *              emission order (their key ids index the task's table,
+     *              so only their values are read)
+     * @param out   sink for the combined record(s)
      */
-    virtual void combine(const std::string& key,
-                         const std::vector<KeyValue>& values,
-                         std::vector<KeyValue>& out) = 0;
-
-    /**
-     * Batched form used by the map-side hot path: combines @p count
-     * contiguous records of one key without materializing a per-key
-     * vector. The default copies into a vector and calls combine(), so
-     * user combiners keep working unchanged; the built-in combiners
-     * override it to fold in place. Must emit exactly what combine()
-     * would for the same records in the same order.
-     */
-    virtual void
-    combineGroup(const std::string& key, const KeyValue* values,
-                 size_t count, std::vector<KeyValue>& out)
-    {
-        combine(key, std::vector<KeyValue>(values, values + count), out);
-    }
+    virtual void combine(std::string_view key, const Row* rows,
+                         size_t count, RecordWriter& out) = 0;
 
     /**
      * True when the combiner's output lets a downstream multi-stage
@@ -70,22 +56,16 @@ class Combiner
 class SumCombiner : public Combiner
 {
   public:
-    void combine(const std::string& key,
-                 const std::vector<KeyValue>& values,
-                 std::vector<KeyValue>& out) override;
-    void combineGroup(const std::string& key, const KeyValue* values,
-                      size_t count, std::vector<KeyValue>& out) override;
+    void combine(std::string_view key, const Row* rows, size_t count,
+                 RecordWriter& out) override;
 };
 
 /** Replaces each key's records with their count. */
 class CountCombiner : public Combiner
 {
   public:
-    void combine(const std::string& key,
-                 const std::vector<KeyValue>& values,
-                 std::vector<KeyValue>& out) override;
-    void combineGroup(const std::string& key, const KeyValue* values,
-                      size_t count, std::vector<KeyValue>& out) override;
+    void combine(std::string_view key, const Row* rows, size_t count,
+                 RecordWriter& out) override;
 };
 
 /**
@@ -99,19 +79,16 @@ class CountCombiner : public Combiner
 class MomentsCombiner : public Combiner
 {
   public:
-    /** Sentinel in KeyValue::value4 marking a moments record. */
+    /** Sentinel in Row::value4 marking a moments record. */
     static constexpr double kMomentsMarker = -9.0e99;
 
-    void combine(const std::string& key,
-                 const std::vector<KeyValue>& values,
-                 std::vector<KeyValue>& out) override;
-    void combineGroup(const std::string& key, const KeyValue* values,
-                      size_t count, std::vector<KeyValue>& out) override;
+    void combine(std::string_view key, const Row* rows, size_t count,
+                 RecordWriter& out) override;
 
     bool preservesMoments() const override { return true; }
 
-    /** True when @p kv is a folded moments record. */
-    static bool isMomentsRecord(const KeyValue& kv);
+    /** True when @p row is a folded moments record. */
+    static bool isMomentsRecord(const Row& row);
 };
 
 }  // namespace approxhadoop::mr

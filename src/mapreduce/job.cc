@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -1584,59 +1583,44 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
     }
     mapper->cleanup(ctx);
 
-    std::vector<KeyValue> output = std::move(ctx.output());
-    // Keys are interned only where their ids are read: by the combiner's
-    // grouping and by partitioning across several reducers. A precise
-    // single-reducer job ships the output without hashing a key.
-    KeyInterner interner;
-    std::vector<uint32_t> key_ids;
-    auto internOutput = [&] {
-        key_ids.clear();
-        key_ids.reserve(output.size());
-        for (const KeyValue& kv : output) {
-            key_ids.push_back(interner.intern(kv.key));
-        }
-    };
+    RecordWriter& output = ctx.output();
     if (combiner_ != nullptr && !output.empty()) {
-        internOutput();
-        // Map-side combine on interned ids: a stable counting sort
-        // gathers each key's records contiguously (emission order
+        // Map-side combine on the task's key ids: a stable counting sort
+        // gathers each key's rows contiguously (emission order
         // preserved), then keys are folded in sorted-key order — the
         // same record-for-record output the former std::map grouping
         // produced, without per-record node allocation or per-key string
         // re-hashing. The shared combiner instance runs concurrently for
         // every in-flight task in parallel mode, so combiners must be
         // stateless across calls (see combiner.h).
-        size_t nkeys = interner.size();
-        std::vector<size_t> counts(nkeys, 0);
-        for (uint32_t id : key_ids) {
-            ++counts[id];
-        }
+        const KeyInterner& keys = output.keys();
+        size_t nkeys = keys.size();
         std::vector<size_t> starts(nkeys + 1, 0);
-        for (size_t k = 0; k < nkeys; ++k) {
-            starts[k + 1] = starts[k] + counts[k];
+        for (const Row& row : output) {
+            ++starts[row.key + 1];
         }
-        std::vector<KeyValue> grouped(output.size());
+        for (size_t k = 0; k < nkeys; ++k) {
+            starts[k + 1] += starts[k];
+        }
+        std::vector<Row> grouped(output.size());
         {
             std::vector<size_t> cursor(starts.begin(), starts.end() - 1);
-            for (size_t i = 0; i < output.size(); ++i) {
-                grouped[cursor[key_ids[i]]++] = std::move(output[i]);
+            for (const Row& row : output) {
+                grouped[cursor[row.key]++] = row;
             }
         }
         std::vector<uint32_t> order(nkeys);
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(),
-                  [&interner](uint32_t a, uint32_t b) {
-                      return interner.key(a) < interner.key(b);
+                  [&keys](uint32_t a, uint32_t b) {
+                      return keys.key(a) < keys.key(b);
                   });
-        std::vector<KeyValue> combined;
+        RecordWriter combined;
         combined.reserve(nkeys);
-        // Every id was interned from a record, so each group is non-empty
-        // and its first record carries the key.
+        // Every id was interned from a row, so each group is non-empty.
         for (uint32_t id : order) {
-            combiner_->combineGroup(grouped[starts[id]].key,
-                                    grouped.data() + starts[id],
-                                    counts[id], combined);
+            combiner_->combine(keys.key(id), grouped.data() + starts[id],
+                               starts[id + 1] - starts[id], combined);
         }
         output = std::move(combined);
     }
@@ -1648,33 +1632,45 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
         chunks[r].records_skipped = skipped;
     }
     if (config_.num_reducers == 1) {
-        // Single partition: the task's output vector becomes the chunk
-        // buffer wholesale (no per-record partitioning or copying).
-        chunks[0].records = std::move(output);
+        // Single partition: the task's rows and key table become the
+        // chunk's wholesale (no per-record partitioning or copying).
+        chunks[0].assign(std::move(output));
     } else if (!output.empty()) {
-        // Partition once per distinct key (ids are dense), then build
-        // each chunk with an exact reserve so record memory is one
-        // allocation per chunk. Combiners may emit arbitrary keys, so
-        // the id stream is derived from the final output.
-        internOutput();
-        constexpr uint32_t kNoPart = 0xFFFFFFFFu;
-        std::vector<uint32_t> part_of_id(interner.size(), kNoPart);
-        std::vector<size_t> sizes(config_.num_reducers, 0);
-        std::vector<uint32_t> parts(output.size());
-        for (size_t i = 0; i < output.size(); ++i) {
-            uint32_t& p = part_of_id[key_ids[i]];
-            if (p == kNoPart) {
-                p = partitioner_->partition(output[i].key,
-                                            config_.num_reducers);
+        // Partition once per distinct key, in id order (the order of
+        // each key's first row). Each chunk gets its own key table: a
+        // key joins it at its first row there, so the chunk's ids also
+        // follow first-row order. Rows and keys are counted first so
+        // each chunk's memory is one exact allocation per array.
+        const KeyInterner& keys = output.keys();
+        const uint32_t parts = config_.num_reducers;
+        std::vector<uint32_t> part_of_id(keys.size());
+        std::vector<size_t> rows_in(parts, 0);
+        std::vector<size_t> keys_in(parts, 0);
+        std::vector<size_t> bytes_in(parts, 0);
+        for (uint32_t id = 0; id < keys.size(); ++id) {
+            std::string_view key = keys.key(id);
+            uint32_t p = partitioner_->partition(std::string(key), parts);
+            part_of_id[id] = p;
+            ++keys_in[p];
+            bytes_in[p] += key.size();
+        }
+        for (const Row& row : output) {
+            ++rows_in[part_of_id[row.key]];
+        }
+        for (uint32_t r = 0; r < parts; ++r) {
+            chunks[r].records.reserve(rows_in[r]);
+            chunks[r].keys.reserve(keys_in[r], bytes_in[r]);
+        }
+        constexpr uint32_t kNoId = 0xFFFFFFFFu;
+        std::vector<uint32_t> chunk_id(keys.size(), kNoId);
+        for (const Row& row : output) {
+            MapOutputChunk& chunk = chunks[part_of_id[row.key]];
+            uint32_t& id = chunk_id[row.key];
+            if (id == kNoId) {
+                id = chunk.keys.add(keys.key(row.key));
             }
-            parts[i] = p;
-            ++sizes[p];
-        }
-        for (uint32_t r = 0; r < config_.num_reducers; ++r) {
-            chunks[r].records.reserve(sizes[r]);
-        }
-        for (size_t i = 0; i < output.size(); ++i) {
-            chunks[parts[i]].records.push_back(std::move(output[i]));
+            chunk.records.push_back(row);
+            chunk.records.back().key = id;
         }
     }
     // Checksum at emit time: the map side stamps, the reduce side
@@ -2038,10 +2034,9 @@ Job::captureEpoch(uint32_t kind, int wave)
         // printing never advances the engine, so the digest is a pure
         // observation. Any divergence in the driver's draw sequence
         // between the crashed and the resumed run surfaces here.
-        std::ostringstream os;
-        os << rng_.engine();
-        const std::string state = os.str();
-        e.rng_digest = integrity::hash64(state.data(), state.size());
+        char text[Mt19937_64::kTextBytes];
+        size_t len = rng_.engine().writeText(text);
+        e.rng_digest = integrity::hash64(text, len);
     }
     e.pending_sampling_ratio = pending_sampling_ratio_;
     e.pending_approx_fraction = pending_approx_fraction_;

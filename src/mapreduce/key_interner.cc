@@ -47,13 +47,11 @@ KeyInterner::intern(std::string_view key)
         }
         slot = (slot + 1) & mask_;
     }
-    uint32_t id = static_cast<uint32_t>(ends_.size());
-    arena_.append(key);
-    ends_.push_back(arena_.size());
+    uint32_t id = keys_.add(key);
     hashes_.push_back(h);
     slots_[slot] = id + 1;
     // Grow at 70% load so probe chains stay short.
-    if (10 * ends_.size() >= 7 * slots_.size()) {
+    if (10 * keys_.size() >= 7 * slots_.size()) {
         rehash(slots_.size() * 2);
     }
     return id;
@@ -65,7 +63,7 @@ KeyInterner::rehash(size_t new_slots)
     assert((new_slots & (new_slots - 1)) == 0);
     slots_.assign(new_slots, 0);
     mask_ = new_slots - 1;
-    for (uint32_t id = 0; id < ends_.size(); ++id) {
+    for (uint32_t id = 0; id < keys_.size(); ++id) {
         size_t slot = static_cast<size_t>(hashes_[id]) & mask_;
         while (slots_[slot] != 0) {
             slot = (slot + 1) & mask_;

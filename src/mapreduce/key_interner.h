@@ -4,26 +4,73 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace approxhadoop::mr {
 
 /**
+ * Keys by dense id: every key's bytes stored once, back to back in one
+ * arena string, with an end offset per id. A key costs its length plus
+ * one offset rather than a std::string object and, past the small-string
+ * size, its own heap block. The table never looks a key up; KeyInterner
+ * adds the hash index that dedupes keys as they are added.
+ */
+class KeyTable
+{
+  public:
+    /** Appends @p key under the next id (no dedupe) and returns the id. */
+    uint32_t
+    add(std::string_view key)
+    {
+        arena_.append(key);
+        ends_.push_back(arena_.size());
+        return static_cast<uint32_t>(ends_.size() - 1);
+    }
+
+    /**
+     * The key for @p id. The view points into the arena, so it stays
+     * valid only until the next add() (which may grow it).
+     */
+    std::string_view
+    key(uint32_t id) const
+    {
+        uint64_t begin = id == 0 ? 0 : ends_[id - 1];
+        return std::string_view(arena_.data() + begin, ends_[id] - begin);
+    }
+
+    /** Number of keys. */
+    size_t size() const { return ends_.size(); }
+
+    /** Makes room for @p keys more keys of @p bytes bytes in total. */
+    void
+    reserve(size_t keys, size_t bytes)
+    {
+        ends_.reserve(ends_.size() + keys);
+        arena_.reserve(arena_.size() + bytes);
+    }
+
+  private:
+    /** Every key's bytes, concatenated in id order. */
+    std::string arena_;
+    /** End offset of each id's key in arena_; key id starts where id - 1
+     *  ends (id 0 at 0). */
+    std::vector<uint64_t> ends_;
+};
+
+/**
  * Intermediate-key interning table.
  *
  * Maps each distinct key string to a dense id (0, 1, 2, ... in first-seen
- * order) through an open-addressing hash table, so hot per-record paths
- * — map-side grouping for the combiner, partition lookup, the precise
- * reducers' per-key accumulators — work on integer ids instead of
- * re-hashing and re-comparing std::strings per record. Ids are stable
- * for the table's lifetime. The table stores each key's bytes once,
- * back to back in one arena string, so a key costs its length plus an
- * end offset and a cached hash rather than a std::string object and,
- * past the small-string size, its own heap block.
+ * order) through an open-addressing hash table over a KeyTable, so hot
+ * per-record paths — a map task's output, map-side grouping for the
+ * combiner, the reducers' per-key state — work on integer ids instead
+ * of re-hashing and re-comparing std::strings per record. Ids are stable
+ * for the table's lifetime.
  *
  * Uses the same FNV-1a hash as HashPartitioner so behavior is platform-
  * stable, with linear probing and growth at 70% load. Not thread-safe;
- * each map task's output stage and each FoldReducer owns its own.
+ * each map task's output and each reducer owns its own.
  */
 class KeyInterner
 {
@@ -39,15 +86,13 @@ class KeyInterner
      * The interned key for @p id. The view points into the arena, so it
      * stays valid only until the next intern() (which may grow it).
      */
-    std::string_view
-    key(uint32_t id) const
-    {
-        uint64_t begin = id == 0 ? 0 : ends_[id - 1];
-        return std::string_view(arena_.data() + begin, ends_[id] - begin);
-    }
+    std::string_view key(uint32_t id) const { return keys_.key(id); }
 
     /** Number of distinct keys interned. */
-    size_t size() const { return ends_.size(); }
+    size_t size() const { return keys_.size(); }
+
+    /** Moves the keys out of an interner that is done. */
+    KeyTable release() && { return std::move(keys_); }
 
     /** Probe-table slots (exposed so tests can observe rehashing). */
     size_t slotCount() const { return slots_.size(); }
@@ -58,11 +103,7 @@ class KeyInterner
   private:
     void rehash(size_t new_slots);
 
-    /** Every interned key's bytes, concatenated in id order. */
-    std::string arena_;
-    /** End offset of each id's key in arena_; key id starts where id - 1
-     *  ends (id 0 at 0). */
-    std::vector<uint64_t> ends_;
+    KeyTable keys_;
     /** Cached hash per id (avoids re-hashing keys on rehash/compare). */
     std::vector<uint64_t> hashes_;
     /** Open-addressing probe table holding id + 1; 0 marks an empty slot. */

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "mapreduce/types.h"
+#include "mapreduce/records.h"
 
 namespace approxhadoop::mr {
 
@@ -36,24 +36,21 @@ class MapContext
           items_processed_(items_processed), approximate_(approximate),
           rng_(rng)
     {
+        // Most map functions emit one record per item.
+        output_.reserve(items_processed);
     }
 
-    /** Emits an intermediate record. */
+    /**
+     * Emits an intermediate record: @p value alone, a ratio observation
+     * (numerator @p value, denominator @p value2), or a three-stage unit
+     * record using all four values (see core/three_stage_reducer.h).
+     */
     void
-    write(std::string_view key, double value)
+    write(std::string_view key, double value, double value2 = 0.0,
+          double value3 = 0.0, double value4 = 0.0)
     {
-        output_.push_back(KeyValue{std::string(key), value, 0.0});
+        output_.write(key, value, value2, value3, value4);
     }
-
-    /** Emits a ratio observation (numerator, denominator). */
-    void
-    write(std::string_view key, double value, double value2)
-    {
-        output_.push_back(KeyValue{std::string(key), value, value2});
-    }
-
-    /** Emits a pre-built record (e.g. a three-stage unit record). */
-    void emit(KeyValue kv) { output_.push_back(std::move(kv)); }
 
     uint64_t taskId() const { return task_id_; }
     uint64_t itemsTotal() const { return items_total_; }
@@ -66,7 +63,7 @@ class MapContext
     Rng& rng() { return rng_; }
 
     /** Emitted records; consumed by the framework after the task runs. */
-    std::vector<KeyValue>& output() { return output_; }
+    RecordWriter& output() { return output_; }
 
   private:
     uint64_t task_id_;
@@ -74,7 +71,7 @@ class MapContext
     uint64_t items_processed_;
     bool approximate_;
     Rng rng_;
-    std::vector<KeyValue> output_;
+    RecordWriter output_;
 };
 
 /**

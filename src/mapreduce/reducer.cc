@@ -11,25 +11,30 @@ namespace approxhadoop::mr {
 void
 FoldReducer::consume(const MapOutputChunk& chunk)
 {
-    const bool extreme = fold_ == Fold::kMin || fold_ == Fold::kMax;
-    for (const KeyValue& kv : chunk.records) {
-        uint32_t id = keys_.intern(kv.key);
+    // One intern per distinct key of the chunk, in the order of each
+    // key's first row, so ids stay in first-seen order. A key's
+    // accumulator starts with n == 0: min/max then start from its first
+    // value, sums from 0.0.
+    chunk_ids_.resize(chunk.keys.size());
+    for (uint32_t k = 0; k < chunk.keys.size(); ++k) {
+        uint32_t id = keys_.intern(chunk.keys.key(k));
         if (id == acc_.size()) {
-            // A key's first record: min/max start from its value, sums
-            // from 0.0.
-            acc_.push_back(Accumulator{extreme ? kv.value : 0.0, 0});
+            acc_.emplace_back();
         }
-        Accumulator& a = acc_[id];
+        chunk_ids_[k] = id;
+    }
+    for (const Row& row : chunk.records) {
+        Accumulator& a = acc_[chunk_ids_[row.key]];
         switch (fold_) {
         case Fold::kSum:
         case Fold::kAverage:
-            a.value += kv.value;
+            a.value += row.value;
             break;
         case Fold::kMin:
-            a.value = std::min(a.value, kv.value);
+            a.value = a.n == 0 ? row.value : std::min(a.value, row.value);
             break;
         case Fold::kMax:
-            a.value = std::max(a.value, kv.value);
+            a.value = a.n == 0 ? row.value : std::max(a.value, row.value);
             break;
         case Fold::kCount:
             break;

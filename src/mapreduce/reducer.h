@@ -3,11 +3,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "journal/sink.h"
 #include "mapreduce/key_interner.h"
+#include "mapreduce/records.h"
 #include "mapreduce/types.h"
 
 namespace approxhadoop::mr {
@@ -35,8 +38,26 @@ struct MapOutputChunk
      * verified at reduce-side delivery; 0 only before stamping.
      */
     uint64_t checksum = 0;
-    /** Records for this partition only. */
-    std::vector<KeyValue> records;
+    /** Records for this partition only, as rows over keys. */
+    std::vector<Row> records;
+    /**
+     * The distinct keys of records, each stored once. Ids are numbered
+     * in the order of each key's first row and every key has a row, so
+     * walking the ids visits the keys in first-seen order: a reducer
+     * maps each key to its own id once, in id order, then folds the
+     * rows in row order.
+     */
+    KeyTable keys;
+
+    /** The key of @p row (a row of this chunk). */
+    std::string_view key(const Row& row) const { return keys.key(row.key); }
+
+    /** Takes @p out's rows and keys, whose ids follow first-row order. */
+    void
+    assign(RecordWriter&& out)
+    {
+        std::tie(records, keys) = std::move(out).release();
+    }
 };
 
 /** Final-output sink plus job-level facts reducers may need. */
@@ -174,13 +195,14 @@ class Reducer
  * five built-in operations, computed without buffering any record.
  *
  * Each key gets a reducer-local id (first-seen order) and one
- * accumulator {value, n}; consume() folds every record into its key's
- * accumulator in delivery order, and finalize() sorts the ids once by
- * key string. The result is bit-identical to buffering each key's
- * records and reducing them at finalize: a sum adds from 0.0 in the
- * same order, min/max start from the first value and apply std::min /
- * std::max in the same order, an average is that sum over the count,
- * and the output follows std::string ordering.
+ * accumulator {value, n}; consume() interns each of the chunk's keys
+ * once, then folds every row into its key's accumulator in delivery
+ * order, and finalize() sorts the ids once by key string. The result
+ * is bit-identical to buffering each key's records and reducing them
+ * at finalize: a sum adds from 0.0 in the same order, min/max start
+ * from the first value and apply std::min / std::max in the same order,
+ * an average is that sum over the count, and the output follows
+ * std::string ordering.
  */
 class FoldReducer : public Reducer
 {
@@ -208,6 +230,9 @@ class FoldReducer : public Reducer
     KeyInterner keys_;
     /** Indexed by key id. */
     std::vector<Accumulator> acc_;
+    /** The consumed chunk's key ids mapped to ours; reused across
+     *  chunks. */
+    std::vector<uint32_t> chunk_ids_;
 };
 
 /** Precise sum-per-key reducer (Hadoop's LongSumReducer analogue). */

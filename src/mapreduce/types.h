@@ -10,16 +10,19 @@
 namespace approxhadoop::mr {
 
 /**
- * One intermediate record emitted by a map function.
+ * One intermediate record as the shuffle carries it: the id of its key
+ * in the key table it travels with (a map task's output, a shuffle
+ * chunk's) plus four numeric values, 40 bytes wide.
  *
  * Values are numeric because every error-bounded reduce operation the
  * paper supports (sum, count, average, ratio, min, max) reduces numbers.
  * The secondary value carries the denominator observation for ratio
  * estimators (and is 0 otherwise).
  */
-struct KeyValue
+struct Row
 {
-    std::string key;
+    /** Id of the record's key in its key table. */
+    uint32_t key = 0;
     double value = 0.0;
     /** Denominator observation for ratio reducers; unused otherwise. */
     double value2 = 0.0;

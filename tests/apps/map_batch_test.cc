@@ -31,6 +31,7 @@
 #include "mapreduce/reducer.h"
 #include "mapreduce/types.h"
 #include "sim/cluster.h"
+#include "support/key_value.h"
 #include "workloads/access_log.h"
 #include "workloads/webserver_log.h"
 #include "workloads/wiki_dump.h"
@@ -82,7 +83,7 @@ class RecordingReducer : public mr::Reducer
     void
     consume(const mr::MapOutputChunk& chunk) override
     {
-        (*sink_)[{chunk.map_task, partition_}] = chunk.records;
+        (*sink_)[{chunk.map_task, partition_}] = mr::keyValues(chunk);
     }
 
     void finalize(mr::ReduceContext& /*ctx*/) override {}
@@ -150,8 +151,8 @@ TEST_P(MapBatchEquivalence, BatchedOutputMatchesRecordAtATime)
         batch_mapper->mapBatch(views.data(), views.size(), batch_ctx);
         batch_mapper->cleanup(batch_ctx);
 
-        const auto& ref = ref_ctx.output();
-        const auto& batch = batch_ctx.output();
+        const auto ref = mr::keyValues(ref_ctx.output());
+        const auto batch = mr::keyValues(batch_ctx.output());
         ASSERT_EQ(ref.size(), batch.size()) << "block " << block;
         for (size_t i = 0; i < ref.size(); ++i) {
             EXPECT_EQ(ref[i].key, batch[i].key)
@@ -187,7 +188,7 @@ TEST_P(MapBatchEquivalence, BatchedOutputMatchesRecordAtATime)
                 mapper->map(data->item(block, i), ctx);
             }
             mapper->cleanup(ctx);
-            std::vector<mr::KeyValue> shuffled = std::move(ctx.output());
+            std::vector<mr::KeyValue> shuffled = mr::keyValues(ctx.output());
             if (combine) {
                 std::map<std::string, double> sums;
                 for (const mr::KeyValue& kv : shuffled) {

@@ -111,6 +111,18 @@ TEST(ApproxrunCliTest, MalformedInvocationsExitTwoWithGrammar)
          "user-defined jobs take no target error bound"},
         {"dcplacement --sampling 0.1", 2, "config error",
          "extreme-value jobs do not sample input"},
+        {"pagepop --target 0.05 --sampling 0.1", 2, "config error",
+         "a target chooses the sampling ratio itself"},
+        {"pagepop --target 0.05 --drop 0.3", 2, "config error",
+         "a target chooses the drop ratio itself"},
+        {"dcplacement --target 0.05 --pilot 8:0.1", 2, "config error",
+         "only an aggregation target runs a pilot"},
+        {"pagepop --sampling 0.5 --pilot 8:0.1", 2, "config error",
+         "a pilot needs a target"},
+        {"pagepop --sampling 0.5 --user-defined 0.5", 2, "config error",
+         "registry mappers have no approximate variant"},
+        {"dcplacement --user-defined 0.5", 2, "config error",
+         "extreme-value mappers have no approximate variant"},
         // Malformed fault plans re-print the full spec grammar.
         {"projectpop --fault-plan bogus=1", 2, "straggler",
          "unknown plan key shows grammar"},

@@ -191,6 +191,71 @@ TEST(ApproxJobRunnerTest, ThreeStageRejectsSettingsItWouldIgnore)
     EXPECT_THROW(run(variants), std::invalid_argument);
 }
 
+TEST(ApproxJobRunnerTest, RejectsSettingsTheModeWouldIgnore)
+{
+    sim::Cluster cluster(sim::ClusterConfig::xeon10());
+    hdfs::NameNode nn(cluster.numServers(), 3, 8);
+    auto ds = dataset();
+    ApproxJobRunner runner(cluster, ds, nn);
+    auto aggregation = [&](const ApproxConfig& approx) {
+        return runner.runAggregation(
+            fastConfig(1), approx, [] { return std::make_unique<OneMapper>(); },
+            MultiStageSamplingReducer::Op::kSum);
+    };
+    auto extreme = [&](const ApproxConfig& approx) {
+        return runner.runExtreme(
+            fastConfig(1), approx,
+            [] { return std::make_unique<OneMapper>(); }, true);
+    };
+    auto user_defined = [&](const ApproxConfig& approx) {
+        return runner.runUserDefined(
+            fastConfig(1), approx,
+            [] { return std::make_unique<VariantProbeMapper>(); },
+            [] { return std::make_unique<mr::SumReducer>(); });
+    };
+
+    // A target chooses the sampling and drop ratios itself.
+    ApproxConfig target_sampling;
+    target_sampling.target_relative_error = 0.05;
+    target_sampling.sampling_ratio = 0.5;
+    EXPECT_THROW(aggregation(target_sampling), std::invalid_argument);
+    ApproxConfig target_drop;
+    target_drop.target_relative_error = 0.05;
+    target_drop.drop_ratio = 0.3;
+    EXPECT_THROW(aggregation(target_drop), std::invalid_argument);
+    EXPECT_THROW(extreme(target_drop), std::invalid_argument);
+
+    // Only the aggregation target controller runs a pilot.
+    ApproxConfig pilot_ratios;
+    pilot_ratios.sampling_ratio = 0.5;
+    pilot_ratios.pilot.enabled = true;
+    pilot_ratios.pilot.maps = 4;
+    EXPECT_THROW(aggregation(pilot_ratios), std::invalid_argument);
+    ApproxConfig pilot_extreme;
+    pilot_extreme.target_relative_error = 0.05;
+    pilot_extreme.pilot.enabled = true;
+    pilot_extreme.pilot.maps = 4;
+    EXPECT_THROW(extreme(pilot_extreme), std::invalid_argument);
+    EXPECT_THROW(user_defined(pilot_ratios), std::invalid_argument);
+
+    // Only user-defined mappers have an approximate variant.
+    ApproxConfig variants;
+    variants.user_defined_fraction = 0.5;
+    EXPECT_THROW(aggregation(variants), std::invalid_argument);
+    EXPECT_THROW(extreme(variants), std::invalid_argument);
+
+    // The settings each mode does read still run.
+    ApproxConfig pilot_target;
+    pilot_target.target_relative_error = 0.05;
+    pilot_target.pilot.enabled = true;
+    pilot_target.pilot.maps = 4;
+    EXPECT_NO_THROW(aggregation(pilot_target));
+    ApproxConfig variant_ratios;
+    variant_ratios.sampling_ratio = 0.5;
+    variant_ratios.user_defined_fraction = 0.5;
+    EXPECT_NO_THROW(user_defined(variant_ratios));
+}
+
 TEST(ApproxJobRunnerTest, UserDefinedFractionControlsVariantMix)
 {
     sim::Cluster cluster(sim::ClusterConfig::xeon10());

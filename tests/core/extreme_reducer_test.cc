@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "support/key_value.h"
 
 namespace approxhadoop::core {
 namespace {
@@ -16,7 +17,7 @@ minChunk(uint64_t task, double value)
     c.map_task = task;
     c.items_total = 1;
     c.items_processed = 1;
-    c.records.push_back({"min", value, 0, 0, 0});
+    mr::setRecords(c, {{"min", value, 0, 0, 0}});
     return c;
 }
 
@@ -104,10 +105,12 @@ TEST(ApproxExtremeReducerTest, RawValuesGoThroughBlockMinima)
         c.map_task = t;
         c.items_total = 50;
         c.items_processed = 50;
+        std::vector<mr::KeyValue> records;
         for (int i = 0; i < 50; ++i) {
-            c.records.push_back({"min", 10.0 + rng.exponential(0.2), 0, 0,
-                                 0});
+            records.push_back({"min", 10.0 + rng.exponential(0.2), 0, 0,
+                               0});
         }
+        mr::setRecords(c, records);
         r.consume(c);
     }
     stats::ExtremeEstimate est = r.estimateKey("min");

@@ -21,6 +21,7 @@
 #include "stats/moments.h"
 #include "stats/student_t.h"
 #include "stats/two_stage.h"
+#include "support/key_value.h"
 
 namespace approxhadoop::core {
 namespace {
@@ -33,7 +34,7 @@ chunk(uint64_t task, uint64_t items_total, uint64_t items_processed,
     c.map_task = task;
     c.items_total = items_total;
     c.items_processed = items_processed;
-    c.records = std::move(records);
+    mr::setRecords(c, records);
     return c;
 }
 
@@ -54,6 +55,57 @@ TEST(MultiStageSamplingReducerTest, FullCensusSumIsExact)
     EXPECT_NEAR(out[0].errorBound(), 0.0, 1e-9);
     EXPECT_EQ(out[1].key, "b");
     EXPECT_DOUBLE_EQ(out[1].value, 5.0);
+}
+
+/** The keys a sum/count reducer's checkpoint lists, in its order. */
+std::vector<std::string>
+checkpointKeys(const MultiStageSamplingReducer& r)
+{
+    std::string blob;
+    EXPECT_TRUE(r.checkpoint(blob));
+    integrity::BlobReader in(blob);
+    in.getU64();  // op
+    in.getDouble();  // confidence
+    in.getU64();  // clusters
+    std::vector<std::string> keys(in.getU64());
+    for (std::string& key : keys) {
+        key = in.getString();
+        for (int field = 0; field < 6; ++field) {
+            in.getU64();
+        }
+    }
+    return keys;
+}
+
+TEST(MultiStageSamplingReducerTest, InternsKeysInFirstRowOrder)
+{
+    // Keys repeat within and across chunks, and no chunk lists its keys
+    // in sorted order: the image must list them by each key's first row.
+    for (auto op : {MultiStageSamplingReducer::Op::kSum,
+                    MultiStageSamplingReducer::Op::kCount}) {
+        MultiStageSamplingReducer r(op, 0.95);
+        r.consume(chunk(0, 10, 5,
+                        {{"b", 1.0, 0, 0, 0},
+                         {"a", 2.0, 0, 0, 0},
+                         {"b", 3.0, 0, 0, 0},
+                         {"c", 4.0, 0, 0, 0},
+                         {"a", 5.0, 0, 0, 0}}));
+        EXPECT_EQ(checkpointKeys(r),
+                  (std::vector<std::string>{"b", "a", "c"}));
+        r.consume(chunk(1, 10, 6,
+                        {{"e", 1.0, 0, 0, 0},
+                         {"a", 1.0, 0, 0, 0},
+                         {"d", 1.0, 0, 0, 0},
+                         {"e", 1.0, 0, 0, 0},
+                         {"b", 1.0, 0, 0, 0},
+                         {"d", 1.0, 0, 0, 0}}));
+        r.consume(chunk(2, 10, 3,
+                        {{"c", 1.0, 0, 0, 0},
+                         {"f", 1.0, 0, 0, 0},
+                         {"c", 1.0, 0, 0, 0}}));
+        EXPECT_EQ(checkpointKeys(r),
+                  (std::vector<std::string>{"b", "a", "c", "e", "d", "f"}));
+    }
 }
 
 TEST(MultiStageSamplingReducerTest, MatchesTwoStageEstimatorExactly)
@@ -547,10 +599,11 @@ class MapReferenceReducer
         };
         std::vector<std::pair<std::string, Moments>> per_key;
         std::unordered_map<std::string, size_t> index;
-        for (const mr::KeyValue& kv : chunk.records) {
-            auto [it, inserted] = index.try_emplace(kv.key, per_key.size());
+        for (const mr::Row& kv : chunk.records) {
+            std::string key(chunk.key(kv));
+            auto [it, inserted] = index.try_emplace(key, per_key.size());
             if (inserted) {
-                per_key.emplace_back(kv.key, Moments{});
+                per_key.emplace_back(key, Moments{});
             }
             Moments& m = per_key[it->second].second;
             if (mr::MomentsCombiner::isMomentsRecord(kv)) {
@@ -882,7 +935,9 @@ referenceChunks(uint64_t seed, bool census)
             }
             records.clear();
             for (const auto& [key, values] : groups) {
-                combiner.combine(key, values, records);
+                for (mr::KeyValue& kv : mr::combine(combiner, key, values)) {
+                    records.push_back(std::move(kv));
+                }
             }
         }
         uint64_t items_total = 30 + rng.uniformInt(20);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/key_value.h"
+
 namespace approxhadoop::core {
 namespace {
 
@@ -13,7 +15,7 @@ unitChunk(uint64_t task, uint64_t items_total, uint64_t items_processed,
     c.map_task = task;
     c.items_total = items_total;
     c.items_processed = items_processed;
-    c.records = std::move(unit_records);
+    mr::setRecords(c, unit_records);
     return c;
 }
 
@@ -29,7 +31,7 @@ TEST(ThreeStageEmitterTest, PacksUnitRecord)
     mr::MapContext ctx(0, 10, 10, false, Rng(1));
     ThreeStageEmitter::emitUnit(ctx, "w", 5, 3, 7.5, 21.0);
     ASSERT_EQ(ctx.output().size(), 1u);
-    const mr::KeyValue& kv = ctx.output()[0];
+    const mr::KeyValue kv = mr::keyValues(ctx.output())[0];
     EXPECT_EQ(kv.key, "w");
     EXPECT_DOUBLE_EQ(kv.value, 7.5);
     EXPECT_DOUBLE_EQ(kv.value2, 21.0);

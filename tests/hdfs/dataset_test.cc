@@ -1,5 +1,10 @@
 #include "hdfs/dataset.h"
 
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace approxhadoop::hdfs {
@@ -54,6 +59,42 @@ TEST(GeneratedDatasetTest, BytesPerItem)
 {
     GeneratedDataset ds(1, 1, [](uint64_t, uint64_t) { return ""; }, 512);
     EXPECT_EQ(ds.bytesPerItem(), 512u);
+}
+
+TEST(GeneratedDatasetTest, BlockReadsServeItemBytesBeforeAndAfterCaching)
+{
+    auto gen = [](uint64_t b, uint64_t i) {
+        return std::string(i + 1, static_cast<char>('a' + b * 6 + i));
+    };
+    GeneratedDataset ds(2, 6, gen);
+    auto expectItems = [&](const RecordBuffer& got,
+                           const std::vector<uint64_t>& indices,
+                           size_t first) {
+        ASSERT_EQ(got.size(), first + indices.size());
+        for (size_t i = 0; i < indices.size(); ++i) {
+            EXPECT_EQ(got.record(first + i), gen(1, indices[i]))
+                << "index " << indices[i];
+        }
+    };
+    std::vector<uint64_t> all(6);
+    std::iota(all.begin(), all.end(), 0);
+    const std::vector<uint64_t> permuted = {5, 0, 3, 1, 4, 2};
+    // Synthesized, then from the cache, whole and in order.
+    for (int read = 0; read < 2; ++read) {
+        RecordBuffer whole;
+        ds.readItems(1, all.data(), all.size(), whole);
+        expectItems(whole, all, 0);
+    }
+    // From the cache: every record out of order, and appended to a
+    // buffer that already holds records.
+    RecordBuffer shuffled;
+    ds.readItems(1, permuted.data(), permuted.size(), shuffled);
+    expectItems(shuffled, permuted, 0);
+    RecordBuffer appended;
+    appended.append("kept");
+    ds.readItems(1, all.data(), all.size(), appended);
+    EXPECT_EQ(appended.record(0), "kept");
+    expectItems(appended, all, 1);
 }
 
 }  // namespace

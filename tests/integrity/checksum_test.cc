@@ -22,6 +22,7 @@
 #include "integrity/checksum.h"
 #include "integrity/chunk_integrity.h"
 #include "mapreduce/reducer.h"
+#include "support/key_value.h"
 
 namespace approxhadoop::integrity {
 namespace {
@@ -188,9 +189,7 @@ sampleChunk()
     chunk.items_total = 400;
     chunk.items_processed = 260;
     chunk.records_skipped = 3;
-    chunk.records.push_back({"alpha", 1.5});
-    chunk.records.push_back({"beta", -2.25});
-    chunk.records.push_back({"gamma", 1e9});
+    mr::setRecords(chunk, {{"alpha", 1.5}, {"beta", -2.25}, {"gamma", 1e9}});
     return chunk;
 }
 
@@ -214,7 +213,11 @@ TEST(IntegrityChunkTest, AnyFieldMutationBreaksVerification)
         return verifyChunk(c);
     };
     EXPECT_FALSE(mutate([](auto& c) { c.records[1].value += 1e-9; }));
-    EXPECT_FALSE(mutate([](auto& c) { c.records[0].key = "alphA"; }));
+    EXPECT_FALSE(mutate([](auto& c) {
+        std::vector<mr::KeyValue> records = mr::keyValues(c);
+        records[0].key = "alphA";
+        mr::setRecords(c, records);
+    }));
     EXPECT_FALSE(mutate([](auto& c) { c.items_processed ^= 1; }));
     EXPECT_FALSE(mutate([](auto& c) { c.records_skipped += 1; }));
     EXPECT_FALSE(mutate([](auto& c) { c.map_task += 1; }));
@@ -256,15 +259,17 @@ goldenChunk(size_t key_len)
     chunk.items_total = 400;
     chunk.items_processed = 123;
     chunk.records_skipped = 2;
+    std::vector<mr::KeyValue> records;
     for (int i = 0; i < 3; ++i) {
         std::string key;
         for (size_t b = 0; b < key_len; ++b) {
             key.push_back(static_cast<char>((b * 37 + i * 11 + 0x61) & 0xFF));
         }
-        chunk.records.push_back(
+        records.push_back(
             {key, 1.5 * i - 0.25, -0.0, 1e-310,
              i == 2 ? std::numeric_limits<double>::quiet_NaN() : 3.0});
     }
+    mr::setRecords(chunk, records);
     return chunk;
 }
 
@@ -298,7 +303,7 @@ fieldByFieldChecksum(const mr::MapOutputChunk& chunk)
     h.update(chunk.items_processed);
     h.update(chunk.records_skipped);
     h.update(static_cast<uint64_t>(chunk.records.size()));
-    for (const mr::KeyValue& kv : chunk.records) {
+    for (const mr::KeyValue& kv : mr::keyValues(chunk)) {
         h.update(kv.key);
         h.update(kv.value);
         h.update(kv.value2);
@@ -317,6 +322,7 @@ TEST(IntegrityChunkTest, DigestMatchesFieldByFieldReference)
         chunk.items_total = gen() % 1000;
         chunk.items_processed = gen() % 1000;
         chunk.records_skipped = gen() % 4;
+        std::vector<mr::KeyValue> records;
         size_t n = gen() % 20;
         for (size_t i = 0; i < n; ++i) {
             mr::KeyValue kv;
@@ -328,10 +334,54 @@ TEST(IntegrityChunkTest, DigestMatchesFieldByFieldReference)
             kv.value2 = std::bit_cast<double>(gen());
             kv.value3 = static_cast<double>(gen() % 100);
             kv.value4 = -0.0;
-            chunk.records.push_back(std::move(kv));
+            records.push_back(std::move(kv));
         }
+        mr::setRecords(chunk, records);
         EXPECT_EQ(chunkChecksum(chunk), fieldByFieldChecksum(chunk))
             << "trial " << trial;
+    }
+}
+
+TEST(ChecksumTest, BulkDigestMatchesFieldByFieldReference)
+{
+    // The digest hashes the record stream through a fixed-size buffer.
+    // Random chunks of up to a few hundred rows over a small key pool
+    // (so keys repeat and the key table dedupes them) cover the empty
+    // key, keys longer than the buffer, rows straddling a flush, random
+    // bits in all four values, and the empty chunk.
+    std::mt19937_64 gen(20261019);
+    for (int trial = 0; trial < 120; ++trial) {
+        std::vector<std::string> pool = {""};
+        for (size_t lengths : {1, 7, 33, 4095, 4096, 4097, 9000}) {
+            std::string key;
+            for (size_t b = 0; b < lengths; ++b) {
+                key.push_back(static_cast<char>(gen()));
+            }
+            pool.push_back(key);
+        }
+        for (int k = 0; k < 6; ++k) {
+            pool.push_back(std::string(gen() % 60, static_cast<char>(gen())));
+        }
+        mr::MapOutputChunk chunk;
+        chunk.map_task = gen();
+        chunk.items_total = gen();
+        chunk.items_processed = gen();
+        chunk.records_skipped = gen();
+        std::vector<mr::KeyValue> records;
+        size_t n = trial % 10 == 0 ? 0 : gen() % 400;
+        for (size_t i = 0; i < n; ++i) {
+            // Mostly short keys, so most flushes split a row.
+            const std::string& key =
+                pool[gen() % 8 == 0 ? gen() % pool.size() : 8 + gen() % 6];
+            records.push_back({key, std::bit_cast<double>(gen()),
+                               std::bit_cast<double>(gen()),
+                               std::bit_cast<double>(gen()),
+                               std::bit_cast<double>(gen())});
+        }
+        mr::setRecords(chunk, records);
+        ASSERT_EQ(chunk.records.size(), n);
+        EXPECT_EQ(chunkChecksum(chunk), fieldByFieldChecksum(chunk))
+            << "trial " << trial << ", " << n << " rows";
     }
 }
 

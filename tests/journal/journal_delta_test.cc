@@ -70,12 +70,12 @@ randomChunk(std::mt19937_64& rng, uint64_t task,
     c.items_total = 50;
     c.items_processed = 1 + rng() % 50;
     size_t records = rng() % 9;
+    mr::RecordWriter out;
     for (size_t i = 0; i < records; ++i) {
-        mr::KeyValue kv;
-        kv.key = keys[rng() % known];
-        kv.value = static_cast<double>(rng() % 1000) / 8.0;
-        c.records.push_back(std::move(kv));
+        const std::string& key = keys[rng() % known];
+        out.write(key, static_cast<double>(rng() % 1000) / 8.0);
     }
+    c.assign(std::move(out));
     return c;
 }
 

@@ -14,22 +14,32 @@
 namespace approxhadoop::mr {
 namespace {
 
-std::vector<KeyValue>
+std::vector<Row>
 records(std::initializer_list<double> values)
 {
-    std::vector<KeyValue> out;
+    std::vector<Row> out;
     for (double v : values) {
-        out.push_back({"k", v, 0, 0, 0});
+        out.push_back({0, v, 0, 0, 0});
     }
+    return out;
+}
+
+/** @p c's output for one key "k" with @p values. */
+RecordWriter
+combined(Combiner& c, std::initializer_list<double> values)
+{
+    std::vector<Row> in = records(values);
+    RecordWriter out;
+    c.combine("k", in.data(), in.size(), out);
     return out;
 }
 
 TEST(SumCombinerTest, FoldsToSingleSum)
 {
     SumCombiner c;
-    std::vector<KeyValue> out;
-    c.combine("k", records({1.0, 2.0, 3.0}), out);
+    RecordWriter out = combined(c, {1.0, 2.0, 3.0});
     ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out.key(out[0]), "k");
     EXPECT_DOUBLE_EQ(out[0].value, 6.0);
     EXPECT_FALSE(c.preservesMoments());
 }
@@ -37,8 +47,7 @@ TEST(SumCombinerTest, FoldsToSingleSum)
 TEST(CountCombinerTest, FoldsToCount)
 {
     CountCombiner c;
-    std::vector<KeyValue> out;
-    c.combine("k", records({5.0, 5.0, 5.0, 5.0}), out);
+    RecordWriter out = combined(c, {5.0, 5.0, 5.0, 5.0});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_DOUBLE_EQ(out[0].value, 4.0);
 }
@@ -46,8 +55,7 @@ TEST(CountCombinerTest, FoldsToCount)
 TEST(MomentsCombinerTest, PacksMoments)
 {
     MomentsCombiner c;
-    std::vector<KeyValue> out;
-    c.combine("k", records({1.0, 2.0, 3.0}), out);
+    RecordWriter out = combined(c, {1.0, 2.0, 3.0});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_DOUBLE_EQ(out[0].value, 6.0);        // sum
     EXPECT_DOUBLE_EQ(out[0].value2, 14.0);      // sum of squares
@@ -55,8 +63,7 @@ TEST(MomentsCombinerTest, PacksMoments)
     EXPECT_TRUE(MomentsCombiner::isMomentsRecord(out[0]));
     EXPECT_TRUE(c.preservesMoments());
     // Ordinary records are not mistaken for moments records.
-    EXPECT_FALSE(MomentsCombiner::isMomentsRecord({"k", 1.0, 2.0, 3.0,
-                                                   4.0}));
+    EXPECT_FALSE(MomentsCombiner::isMomentsRecord({0, 1.0, 2.0, 3.0, 4.0}));
 }
 
 class WordMapper : public Mapper

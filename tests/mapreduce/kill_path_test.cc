@@ -184,7 +184,7 @@ class RecordingReducer : public Reducer
     consume(const MapOutputChunk& chunk) override
     {
         order_.push_back(chunk.map_task);
-        for (const KeyValue& kv : chunk.records) {
+        for (const Row& kv : chunk.records) {
             sum_ += kv.value;
         }
     }

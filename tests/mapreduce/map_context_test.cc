@@ -22,7 +22,7 @@ TEST(MapContextTest, WriteVariants)
     ctx.write("a", 1.5);
     ctx.write("b", 2.0, 3.0);
     ASSERT_EQ(ctx.output().size(), 2u);
-    EXPECT_EQ(ctx.output()[0].key, "a");
+    EXPECT_EQ(ctx.output().key(ctx.output()[0]), "a");
     EXPECT_DOUBLE_EQ(ctx.output()[0].value, 1.5);
     EXPECT_DOUBLE_EQ(ctx.output()[0].value2, 0.0);
     EXPECT_DOUBLE_EQ(ctx.output()[1].value2, 3.0);

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "integrity/blob.h"
+#include "support/key_value.h"
 
 namespace approxhadoop::mr {
 namespace {
@@ -27,7 +28,7 @@ chunk(uint64_t task, std::vector<KeyValue> records)
     c.map_task = task;
     c.items_total = 10;
     c.items_processed = 10;
-    c.records = std::move(records);
+    setRecords(c, records);
     return c;
 }
 
@@ -93,7 +94,7 @@ bufferedReference(Fold fold, const std::vector<MapOutputChunk>& chunks)
 {
     std::map<std::string, std::vector<double>> groups;
     for (const MapOutputChunk& c : chunks) {
-        for (const KeyValue& kv : c.records) {
+        for (const KeyValue& kv : keyValues(c)) {
             groups[kv.key].push_back(kv.value);
         }
     }
@@ -289,6 +290,50 @@ TEST(FoldReducerTest, CheckpointGrowsWithKeysNotRecords)
     ASSERT_TRUE(r.checkpoint(more));
     EXPECT_GT(more.size(), ten.size());
     EXPECT_EQ(more.substr(8, ten.size() - 8), ten.substr(8));
+}
+
+/** The keys a FoldReducer's checkpoint lists, in its order (ids). */
+std::vector<std::string>
+checkpointKeys(const Reducer& r)
+{
+    std::string blob;
+    EXPECT_TRUE(r.checkpoint(blob));
+    integrity::BlobReader in(blob);
+    std::vector<std::string> keys(in.getU64());
+    for (std::string& key : keys) {
+        key = in.getString();
+        in.getDouble();
+        in.getU64();
+    }
+    in.expectEnd();
+    return keys;
+}
+
+TEST(FoldReducerTest, InternsKeysInFirstRowOrder)
+{
+    // Keys repeat within and across chunks, and no chunk lists its keys
+    // in sorted order: ids must follow each key's first row.
+    for (const FoldCase& f : kFolds) {
+        std::unique_ptr<Reducer> r = f.make();
+        r->consume(chunk(0, {{"b", 1.0, 0, 0, 0},
+                             {"a", 2.0, 0, 0, 0},
+                             {"b", 3.0, 0, 0, 0},
+                             {"c", 4.0, 0, 0, 0},
+                             {"a", 5.0, 0, 0, 0}}));
+        EXPECT_EQ(checkpointKeys(*r),
+                  (std::vector<std::string>{"b", "a", "c"}));
+        r->consume(chunk(1, {{"e", 1.0, 0, 0, 0},
+                             {"a", 1.0, 0, 0, 0},
+                             {"d", 1.0, 0, 0, 0},
+                             {"e", 1.0, 0, 0, 0},
+                             {"b", 1.0, 0, 0, 0},
+                             {"d", 1.0, 0, 0, 0}}));
+        r->consume(chunk(2, {{"c", 1.0, 0, 0, 0},
+                             {"f", 1.0, 0, 0, 0},
+                             {"c", 1.0, 0, 0, 0}}));
+        EXPECT_EQ(checkpointKeys(*r),
+                  (std::vector<std::string>{"b", "a", "c", "e", "d", "f"}));
+    }
 }
 
 TEST(FoldReducerTest, RestoreRejectsMalformedBlobs)
