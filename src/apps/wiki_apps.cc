@@ -1,5 +1,6 @@
 #include "apps/wiki_apps.h"
 
+#include <array>
 #include <charconv>
 #include <cstring>
 #include <vector>
@@ -15,18 +16,32 @@ namespace approxhadoop::apps {
 
 namespace {
 
+/** "00" "01" ... "99": the two digits of every value below 100. */
+constexpr auto kDigitPairs = [] {
+    std::array<char, 200> pairs{};
+    for (int i = 0; i < 100; ++i) {
+        pairs[2 * i] = static_cast<char>('0' + i / 10);
+        pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+    }
+    return pairs;
+}();
+
 /** Formats "len%08llu" into @p buf (no heap); same bytes as snprintf. */
 std::string_view
 formatBinKey(uint64_t bin, char (&buf)[24])
 {
-    char digits[20];
-    auto res = std::to_chars(digits, digits + sizeof(digits), bin);
-    size_t n = static_cast<size_t>(res.ptr - digits);
     std::memcpy(buf, "len", 3);
-    size_t pad = n < 8 ? 8 - n : 0;
-    std::memset(buf + 3, '0', pad);
-    std::memcpy(buf + 3 + pad, digits, n);
-    return std::string_view(buf, 3 + pad + n);
+    if (bin >= 100000000) {
+        // Nine digits or more: no padding, so to_chars writes the key.
+        char* end = std::to_chars(buf + 3, buf + sizeof(buf), bin).ptr;
+        return std::string_view(buf, static_cast<size_t>(end - buf));
+    }
+    auto v = static_cast<uint32_t>(bin);
+    for (size_t at = 9; at >= 3; at -= 2) {
+        std::memcpy(buf + at, &kDigitPairs[2 * (v % 100)], 2);
+        v /= 100;
+    }
+    return std::string_view(buf, 11);
 }
 
 }  // namespace
@@ -42,8 +57,8 @@ WikiLength::binKey(uint64_t size_bytes)
 void
 WikiLength::Mapper::map(const std::string& record, mr::MapContext& ctx)
 {
-    uint64_t size = workloads::wikiArticleSize(record);
-    ctx.write(binKey(size), 1.0);
+    std::string_view view(record);
+    mapBatch(&view, 1, ctx);
 }
 
 void

@@ -1,10 +1,17 @@
 #include "mapreduce/key_interner.h"
 
 #include <cassert>
+#include <cstring>
 
 namespace approxhadoop::mr {
 
 namespace {
+
+/** Odd 64-bit multipliers with evenly mixed bits (wyhash's). */
+constexpr uint64_t kMulA = 0xa0761d6478bd642fULL;
+constexpr uint64_t kMulB = 0xe7037ed1a0b428dbULL;
+/** The bits of a probe slot that hold its key's hash tag. */
+constexpr uint64_t kTagMask = ~uint64_t{0xffffffff};
 
 size_t
 roundUpPow2(size_t v)
@@ -14,6 +21,88 @@ roundUpPow2(size_t v)
         p <<= 1;
     }
     return p;
+}
+
+uint64_t
+load64(const char* p)
+{
+    uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+uint64_t
+load32(const char* p)
+{
+    uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** The 128-bit product of @p a and @p b, its halves xor-ed together. */
+uint64_t
+fold(uint64_t a, uint64_t b)
+{
+    unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+    return static_cast<uint64_t>(r) ^ static_cast<uint64_t>(r >> 64);
+}
+
+/**
+ * Byte equality of two keys. Keys of 8–16 bytes, the common intermediate
+ * key size, compare as two overlapping words instead of a memcmp call;
+ * both loads stay inside each key's own bytes.
+ */
+bool
+sameKey(std::string_view a, std::string_view b)
+{
+    size_t n = a.size();
+    if (n != b.size()) {
+        return false;
+    }
+    if (n >= 8 && n <= 16) {
+        return load64(a.data()) == load64(b.data()) &&
+               load64(a.data() + n - 8) == load64(b.data() + n - 8);
+    }
+    return a == b;
+}
+
+/** KeyInterner::hash, defined here so intern() inlines it. */
+inline uint64_t
+probeHash(std::string_view key)
+{
+    // Every load lies inside the key: short keys take overlapping loads
+    // from both ends, long ones 16 bytes per step and then their last 16.
+    const char* p = key.data();
+    size_t n = key.size();
+    uint64_t a = 0;
+    uint64_t b = 0;
+    if (n < 4) {
+        if (n > 0) {
+            auto byte = [p](size_t i) {
+                return static_cast<uint64_t>(static_cast<unsigned char>(p[i]));
+            };
+            a = byte(0) << 16 | byte(n / 2) << 8 | byte(n - 1);
+        }
+    } else if (n < 8) {
+        a = load32(p);
+        b = load32(p + n - 4);
+    } else if (n <= 16) {
+        a = load64(p);
+        b = load64(p + n - 8);
+    } else {
+        uint64_t state = kMulA;
+        size_t left = n;
+        while (left > 16) {
+            state = fold(load64(p) ^ kMulB, load64(p + 8) ^ state);
+            p += 16;
+            left -= 16;
+        }
+        a = load64(p + left - 16);
+        b = load64(p + left - 8) ^ state;
+    }
+    // The length is folded in so keys that load the same words (a
+    // repeated byte, a prefix of it) still hash apart.
+    return fold(a ^ kMulB, b ^ kMulA ^ n);
 }
 
 }  // namespace
@@ -27,29 +116,26 @@ KeyInterner::KeyInterner(size_t initial_slots)
 uint64_t
 KeyInterner::hash(std::string_view key)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return probeHash(key);
 }
 
 uint32_t
 KeyInterner::intern(std::string_view key)
 {
-    uint64_t h = hash(key);
+    uint64_t h = probeHash(key);
+    uint64_t tag = h & kTagMask;
     size_t slot = static_cast<size_t>(h) & mask_;
-    while (slots_[slot] != 0) {
-        uint32_t id = slots_[slot] - 1;
-        if (hashes_[id] == h && this->key(id) == key) {
-            return id;
+    for (uint64_t s = slots_[slot]; s != 0; s = slots_[slot]) {
+        if ((s & kTagMask) == tag) {
+            uint32_t id = static_cast<uint32_t>(s) - 1;
+            if (sameKey(this->key(id), key)) {
+                return id;
+            }
         }
         slot = (slot + 1) & mask_;
     }
     uint32_t id = keys_.add(key);
-    hashes_.push_back(h);
-    slots_[slot] = id + 1;
+    slots_[slot] = tag | (uint64_t{id} + 1);
     // Grow at 70% load so probe chains stay short.
     if (10 * keys_.size() >= 7 * slots_.size()) {
         rehash(slots_.size() * 2);
@@ -64,11 +150,12 @@ KeyInterner::rehash(size_t new_slots)
     slots_.assign(new_slots, 0);
     mask_ = new_slots - 1;
     for (uint32_t id = 0; id < keys_.size(); ++id) {
-        size_t slot = static_cast<size_t>(hashes_[id]) & mask_;
+        uint64_t h = probeHash(keys_.key(id));
+        size_t slot = static_cast<size_t>(h) & mask_;
         while (slots_[slot] != 0) {
             slot = (slot + 1) & mask_;
         }
-        slots_[slot] = id + 1;
+        slots_[slot] = (h & kTagMask) | (uint64_t{id} + 1);
     }
 }
 

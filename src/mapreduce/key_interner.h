@@ -68,9 +68,10 @@ class KeyTable
  * of re-hashing and re-comparing std::strings per record. Ids are stable
  * for the table's lifetime.
  *
- * Uses the same FNV-1a hash as HashPartitioner so behavior is platform-
- * stable, with linear probing and growth at 70% load. Not thread-safe;
- * each map task's output and each reducer owns its own.
+ * Ids never depend on the hash: it only places probes, so the id order,
+ * and everything built on it, is the same on every platform. Linear
+ * probing, growth at 70% load. Not thread-safe; each map task's output
+ * and each reducer owns its own.
  */
 class KeyInterner
 {
@@ -97,17 +98,25 @@ class KeyInterner
     /** Probe-table slots (exposed so tests can observe rehashing). */
     size_t slotCount() const { return slots_.size(); }
 
-    /** FNV-1a over the key bytes; identical to HashPartitioner::fnv1a. */
+    /**
+     * Probe hash, exposed so tests can build colliding keys: reads the
+     * key a word at a time and folds it with one 128-bit multiply. Its
+     * low bits pick the first probe slot and its upper 32 bits are the
+     * slot tag. Host-endian, so its values differ across platforms;
+     * only probe placement depends on it.
+     */
     static uint64_t hash(std::string_view key);
 
   private:
     void rehash(size_t new_slots);
 
     KeyTable keys_;
-    /** Cached hash per id (avoids re-hashing keys on rehash/compare). */
-    std::vector<uint64_t> hashes_;
-    /** Open-addressing probe table holding id + 1; 0 marks an empty slot. */
-    std::vector<uint32_t> slots_;
+    /**
+     * Open-addressing probe table. A slot holds the upper 32 bits of its
+     * key's hash above id + 1, so most mismatches are rejected without
+     * reading the key; 0 marks an empty slot.
+     */
+    std::vector<uint64_t> slots_;
     size_t mask_ = 0;
 };
 

@@ -1,10 +1,17 @@
 #include "apps/wiki_apps.h"
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/approx_config.h"
 #include "core/approx_job.h"
 #include "hdfs/namenode.h"
+#include "mapreduce/mapper.h"
 #include "sim/cluster.h"
 #include "workloads/wiki_dump.h"
 
@@ -26,6 +33,45 @@ TEST(WikiLengthTest, BinKeyFormat)
     EXPECT_EQ(WikiLength::binKey(99), "len00000000");
     EXPECT_EQ(WikiLength::binKey(100), "len00000100");
     EXPECT_EQ(WikiLength::binKey(12345), "len00012300");
+    // Below 10^8 the key is fixed-width; from there on it grows, which
+    // is where snprintf stops padding.
+    for (uint64_t bin : {uint64_t{0}, uint64_t{100}, uint64_t{99999900},
+                         uint64_t{100000000}, UINT64_MAX / 100 * 100}) {
+        char expected[32];
+        std::snprintf(expected, sizeof(expected), "len%08llu",
+                      static_cast<unsigned long long>(bin));
+        EXPECT_EQ(WikiLength::binKey(bin), expected) << bin;
+    }
+}
+
+TEST(WikiLengthTest, MapAndMapBatchEmitTheSameKeys)
+{
+    // Sizes on both sides of the fixed-width key, a record without a
+    // tab, one with an empty title and one with no size digits.
+    const std::vector<std::string> records = {
+        "a1\t1\t", "a2\t12345\ta7,a9", "\t99999999\t", "a3\t100000000\t",
+        "a4\t18446744073709551615\t", "no-tabs-here", "a5\t\t", "a6\t250",
+    };
+    WikiLength::Mapper mapper;
+    mr::MapContext single(0, records.size(), records.size(), false, Rng(1));
+    for (const std::string& record : records) {
+        mapper.map(record, single);
+    }
+    std::vector<std::string_view> views(records.begin(), records.end());
+    mr::MapContext batch(0, records.size(), records.size(), false, Rng(1));
+    mapper.mapBatch(views.data(), views.size(), batch);
+
+    const mr::RecordWriter& a = single.output();
+    const mr::RecordWriter& b = batch.output();
+    ASSERT_EQ(a.size(), records.size());
+    ASSERT_EQ(b.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+        uint64_t size = workloads::wikiArticleSize(records[i]);
+        EXPECT_EQ(a.key(a[i]), WikiLength::binKey(size)) << records[i];
+        EXPECT_EQ(b.key(b[i]), WikiLength::binKey(size)) << records[i];
+        EXPECT_EQ(a[i].value, 1.0);
+        EXPECT_EQ(b[i].value, 1.0);
+    }
 }
 
 TEST(WikiLengthTest, PreciseCountsMatchDataset)

@@ -4,13 +4,18 @@
  * map-side path. Ids must be dense, first-seen ordered, and stable
  * across rehashes; collisions must probe, not clobber.
  */
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mapreduce/key_interner.h"
-#include "mapreduce/partitioner.h"
 
 namespace approxhadoop::mr {
 namespace {
@@ -148,14 +153,106 @@ TEST(KeyInternerTest, TableGrowthKeepsSlotsAheadOfKeys)
     EXPECT_EQ(interner.slotCount() & (interner.slotCount() - 1), 0u);
 }
 
-TEST(KeyInternerTest, HashMatchesPartitionerFnv1a)
+TEST(KeyInternerTest, OneByteApartKeysGetDistinctIds)
 {
-    // The partition cache in Job::computeMapOutput maps interned id ->
-    // partition; that shortcut is only sound while both sides hash the
-    // same bytes the same way.
-    for (const char* key : {"", "a", "proj1", "len00042", "Main_Page"}) {
-        EXPECT_EQ(KeyInterner::hash(key), HashPartitioner::fnv1a(key))
-            << key;
+    // Every key length the hash and the compare read differently (0-3
+    // bytes, 4-7, the 8-16 word pair, 17+ in 16-byte steps), each with
+    // one byte changed at every position. A 4-slot table makes rehashes
+    // and long probe chains run. Each key is interned from a buffer of
+    // exactly its own size, so a sanitizer build catches any load past
+    // its last byte.
+    KeyInterner interner(4);
+    std::map<std::string, uint32_t> reference;
+    std::vector<std::string> first_seen;
+    auto internExact = [&interner](const std::string& key) {
+        std::vector<char> exact(key.begin(), key.end());
+        return interner.intern(std::string_view(exact.data(), exact.size()));
+    };
+    auto check = [&](const std::string& key) {
+        auto [it, inserted] = reference.emplace(
+            key, static_cast<uint32_t>(reference.size()));
+        if (inserted) {
+            first_seen.push_back(key);
+        }
+        EXPECT_EQ(internExact(key), it->second)
+            << "length " << key.size();
+    };
+    for (size_t length = 0; length <= 40; ++length) {
+        std::string base;
+        for (size_t i = 0; i < length; ++i) {
+            base.push_back(static_cast<char>('a' + i % 26));
+        }
+        check(base);
+        for (size_t pos = 0; pos < length; ++pos) {
+            for (char byte : {'\0', '\x80', '\xff'}) {
+                std::string key = base;
+                key[pos] = byte;
+                check(key);
+            }
+        }
+    }
+    ASSERT_EQ(interner.size(), reference.size());
+    for (uint32_t id = 0; id < first_seen.size(); ++id) {
+        EXPECT_EQ(interner.key(id), first_seen[id]) << id;
+        EXPECT_EQ(internExact(first_seen[id]), id) << id;
+    }
+    EXPECT_EQ(interner.size(), first_seen.size());
+}
+
+TEST(KeyInternerTest, TagCollisionsCompareKeyBytes)
+{
+    // Two keys whose hashes agree in the slot tag (upper 32 bits) and in
+    // the low bits that pick a 4-slot table's first probe: the second
+    // key's probe meets the first key's slot with a matching tag, so only
+    // the byte compare tells them apart. A birthday search finds such a
+    // pair in each family: 16-byte keys that differ only in their last
+    // word, the same keys reversed (differing only in their first word),
+    // and 11-byte bin keys.
+    auto suffixVaries = [](uint64_t i) {
+        char buf[17];
+        std::snprintf(buf, sizeof(buf), "key/%012llu",
+                      static_cast<unsigned long long>(i));
+        return std::string(buf, 16);
+    };
+    auto prefixVaries = [&suffixVaries](uint64_t i) {
+        std::string key = suffixVaries(i);
+        std::reverse(key.begin(), key.end());
+        return key;
+    };
+    auto binKey = [](uint64_t i) {
+        char buf[24];
+        int n = std::snprintf(buf, sizeof(buf), "len%08llu",
+                              static_cast<unsigned long long>(i * 100));
+        return std::string(buf, static_cast<size_t>(n));
+    };
+    const std::vector<std::function<std::string(uint64_t)>> families = {
+        suffixVaries, prefixVaries, binKey};
+    for (size_t f = 0; f < families.size(); ++f) {
+        std::unordered_map<uint64_t, uint64_t> seen;
+        seen.reserve(1 << 19);
+        std::string first;
+        std::string second;
+        for (uint64_t i = 0; i < 4000000 && second.empty(); ++i) {
+            std::string key = families[f](i);
+            uint64_t h = KeyInterner::hash(key);
+            uint64_t probe_and_tag = (h >> 32) << 2 | (h & 3);
+            auto [it, inserted] = seen.emplace(probe_and_tag, i);
+            if (!inserted) {
+                first = families[f](it->second);
+                second = key;
+            }
+        }
+        ASSERT_FALSE(second.empty()) << "family " << f;
+        ASSERT_NE(first, second);
+
+        KeyInterner interner(4);
+        ASSERT_EQ(interner.slotCount(), 4u);
+        EXPECT_EQ(interner.intern(first), 0u) << first;
+        EXPECT_EQ(interner.intern(second), 1u) << second;
+        EXPECT_EQ(interner.intern(first), 0u) << first;
+        EXPECT_EQ(interner.intern(second), 1u) << second;
+        EXPECT_EQ(interner.key(0), first);
+        EXPECT_EQ(interner.key(1), second);
     }
 }
 

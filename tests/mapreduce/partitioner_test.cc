@@ -50,6 +50,11 @@ TEST(HashPartitionerTest, Fnv1aKnownValue)
     EXPECT_EQ(HashPartitioner::fnv1a(""), 0xcbf29ce484222325ULL);
     // FNV-1a of "a" is a published vector.
     EXPECT_EQ(HashPartitioner::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+    // Partition assignment is part of every multi-reducer result: pin a
+    // key of each registry shape byte for byte.
+    EXPECT_EQ(HashPartitioner::fnv1a("len00000100"), 0xa04b0aba5651d297ULL);
+    EXPECT_EQ(HashPartitioner::fnv1a("proj1"), 0xf95b55246d9b3945ULL);
+    EXPECT_EQ(HashPartitioner::fnv1a("Main_Page"), 0x7b22eb069273b466ULL);
 }
 
 }  // namespace
