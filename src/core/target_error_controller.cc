@@ -103,7 +103,8 @@ TargetErrorController::fitCostModel(const mr::JobHandle& job) const
     double items_read = 0.0;
     double items_processed = 0.0;
     uint64_t n = 0;
-    for (uint64_t t = 0; t < job.numMapTasks(); ++t) {
+    uint64_t total = job.numMapTasks();
+    for (uint64_t t = 0; t < total; ++t) {
         const mr::MapTaskInfo& task = job.mapTask(t);
         if (task.state != mr::TaskState::kCompleted) {
             continue;
@@ -165,7 +166,8 @@ double
 TargetErrorController::withinRunningFactor(const mr::JobHandle& job) const
 {
     double factor = 0.0;
-    for (uint64_t t = 0; t < job.numMapTasks(); ++t) {
+    uint64_t total = job.numMapTasks();
+    for (uint64_t t = 0; t < total; ++t) {
         const mr::MapTaskInfo& task = job.mapTask(t);
         if (task.state != mr::TaskState::kRunning) {
             continue;
@@ -253,10 +255,11 @@ TargetErrorController::solve(const mr::JobHandle& job,
     // the key with the *maximum predicted absolute error* — rare keys
     // have tiny absolute errors but unattainable relative ones, and the
     // paper's own reporting uses the max-absolute-error key.
-    auto worstAt = [&](uint64_t n2, double m, double& out_err,
+    // The critical value depends on n2 alone, so each candidate looks it
+    // up once for all of its bisection probes.
+    auto worstAt = [&](uint64_t n2, double m, double t, double& out_err,
                        double& out_target) {
         uint64_t n_total = completed + running + n2;
-        double t = criticalT(n_total);
         double worst_err = 0.0;
         double worst_tau = 0.0;
         for (const auto& key : keys) {
@@ -271,10 +274,10 @@ TargetErrorController::solve(const mr::JobHandle& job,
         out_target = targetFor(worst_tau);
         return worst_err <= out_target;
     };
-    auto feasible = [&](uint64_t n2, double m) {
+    auto feasible = [&](uint64_t n2, double m, double t) {
         double err = 0.0;
         double target = 0.0;
-        return worstAt(n2, m, err, target);
+        return worstAt(n2, m, t, err, target);
     };
 
     // Candidate n2 values: dense at the low end, geometric above.
@@ -292,7 +295,8 @@ TargetErrorController::solve(const mr::JobHandle& job,
         if (n2 > pending) {
             continue;
         }
-        if (!feasible(n2, static_cast<double>(mean_items_int))) {
+        double t = criticalT(completed + running + n2);
+        if (!feasible(n2, static_cast<double>(mean_items_int), t)) {
             continue;  // even full sampling cannot meet the target
         }
         // Minimal feasible m by binary search (error decreases with m).
@@ -300,7 +304,7 @@ TargetErrorController::solve(const mr::JobHandle& job,
         uint64_t hi = mean_items_int;
         while (lo < hi) {
             uint64_t mid = lo + (hi - lo) / 2;
-            if (feasible(n2, static_cast<double>(mid))) {
+            if (feasible(n2, static_cast<double>(mid), t)) {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -316,7 +320,7 @@ TargetErrorController::solve(const mr::JobHandle& job,
             best.sampling_ratio =
                 std::clamp(m / mean_items, 1e-6, 1.0);
             best.predicted_ret = ret;
-            worstAt(n2, m, best.predicted_error, best.target_error);
+            worstAt(n2, m, t, best.predicted_error, best.target_error);
         }
     }
     return best;

@@ -79,7 +79,7 @@ GeneratedDataset::GeneratedDataset(uint64_t num_blocks,
 }
 
 uint64_t
-GeneratedDataset::itemsInBlock(uint64_t block) const
+GeneratedDataset::itemsInBlock([[maybe_unused]] uint64_t block) const
 {
     assert(block < num_blocks_);
     return items_per_block_;

@@ -1704,11 +1704,13 @@ Job::fillComputeWindow()
 void
 Job::releaseMapOutput(uint64_t task_id)
 {
-    // The worker may still be running; dropping the future only lets
-    // its result be freed as soon as it is written.
+    // A worker that has not started the computation skips it; one that
+    // has runs on, and dropping the future only lets its result be freed
+    // as soon as it is written.
     std::future<std::vector<MapOutputChunk>>& output =
         exec_[task_id].pending_output;
     if (output.valid()) {
+        output_released_[task_id].store(true);
         output = {};
         --outputs_in_flight_;
     }
@@ -1728,7 +1730,11 @@ Job::launchMapCompute(uint64_t task_id)
     exec_[task_id].pending_output =
         pool_->submit([this, task_id, items_total = task.items_total,
                        approximate = task.approximate,
+                       released = &output_released_[task_id],
                        mapper = std::move(mapper)]() mutable {
+            if (released->load()) {
+                return std::vector<MapOutputChunk>();
+            }
             return computeMapOutput(task_id, items_total, approximate,
                                     std::move(mapper));
         });
@@ -2199,6 +2205,8 @@ Job::start()
     start_time_ = cluster_.now();
     start_energy_wh_ = cluster_.energyWattHours();
     if (config_.num_exec_threads > 1) {
+        output_released_ =
+            std::make_unique<std::atomic<bool>[]>(dataset_.numBlocks());
         pool_ = std::make_unique<ThreadPool>(config_.num_exec_threads);
     }
     if (obs_ != nullptr) {

@@ -1,6 +1,7 @@
 #ifndef APPROXHADOOP_MAPREDUCE_JOB_H_
 #define APPROXHADOOP_MAPREDUCE_JOB_H_
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <future>
@@ -525,7 +526,8 @@ class Job
      */
     void fillComputeWindow();
     /** Gives up the unconsumed output of a task that ended without
-     *  delivering (killed, absorbed, dropped) and frees its window slot. */
+     *  delivering (killed, absorbed, dropped) and frees its window slot;
+     *  a computation no worker has started yet is skipped. */
     void releaseMapOutput(uint64_t task_id);
     /** Submits computeMapOutput() for @p task_id to the thread pool. */
     void launchMapCompute(uint64_t task_id);
@@ -634,6 +636,14 @@ class Job
     ft::FaultInjector injector_;
 
     /**
+     * One flag per task, allocated with pool_: releaseMapOutput sets it
+     * when the task ends with its computation submitted but unconsumed,
+     * and a worker that has not started that computation yet returns no
+     * output without running the mapper. A task ends once, so the flag
+     * only ever concerns its last submission.
+     */
+    std::unique_ptr<std::atomic<bool>[]> output_released_;
+    /**
      * Workers executing real map-task CPU work while the driver thread
      * runs the discrete-event simulation (null when num_exec_threads <= 1).
      * Created for the duration of run() only.
@@ -641,12 +651,13 @@ class Job
     std::unique_ptr<ThreadPool> pool_;
     /**
      * The run-ahead window: at most this many outputs per pool worker are
-     * submitted but not yet consumed. A fixed constant, not a setting:
-     * with finish-ordered submission a larger window gains little time
-     * and holds more finished outputs in memory (DESIGN.md, "Run-ahead
-     * window").
+     * submitted but not yet consumed. Eight keep the workers busy while
+     * the driver replans on the approximate path, where two left them
+     * idle and four still waited on the pipeline; the cost is a few
+     * more finished outputs held in memory. A fixed constant, not a
+     * setting (DESIGN.md, "Run-ahead window").
      */
-    static constexpr size_t kRunAheadPerThread = 2;
+    static constexpr size_t kRunAheadPerThread = 8;
     /** Outputs submitted to pool_ and not yet consumed or released. */
     size_t outputs_in_flight_ = 0;
     /** Tasks waiting for window room, keyed by the scheduled finish of

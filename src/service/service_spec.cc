@@ -18,7 +18,7 @@ defaultTenants(uint64_t count)
     std::vector<TenantClass> tenants;
     for (uint64_t i = 0; i < count; ++i) {
         TenantClass t;
-        t.name = "t" + std::to_string(i);
+        t.name = std::string("t").append(std::to_string(i));
         t.priority = static_cast<uint32_t>(i);
         t.weight = static_cast<double>(uint64_t{1} << (count - 1 - i));
         t.arrival_weight = 1.0;

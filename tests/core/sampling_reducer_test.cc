@@ -26,6 +26,19 @@
 namespace approxhadoop::core {
 namespace {
 
+/**
+ * @p prefix followed by @p n in decimal. Appended rather than written as
+ * `"literal" + std::to_string(n)`, which GCC 12 flags with a -Wrestrict
+ * false positive inside libstdc++.
+ */
+std::string
+numbered(const char* prefix, uint64_t n)
+{
+    std::string s = prefix;
+    s += std::to_string(n);
+    return s;
+}
+
 mr::MapOutputChunk
 chunk(uint64_t task, uint64_t items_total, uint64_t items_processed,
       std::vector<mr::KeyValue> records)
@@ -256,15 +269,15 @@ TEST(MultiStageSamplingReducerTest, ChaoDistinctKeyEstimate)
     std::vector<mr::KeyValue> records;
     for (int k = 0; k < 5; ++k) {
         for (int i = 0; i < 10; ++i) {
-            records.push_back({"big" + std::to_string(k), 1.0, 0, 0, 0});
+            records.push_back({numbered("big", k), 1.0, 0, 0, 0});
         }
     }
     for (int k = 0; k < 6; ++k) {
-        records.push_back({"single" + std::to_string(k), 1.0, 0, 0, 0});
+        records.push_back({numbered("single", k), 1.0, 0, 0, 0});
     }
     for (int k = 0; k < 4; ++k) {
-        records.push_back({"double" + std::to_string(k), 1.0, 0, 0, 0});
-        records.push_back({"double" + std::to_string(k), 1.0, 0, 0, 0});
+        records.push_back({numbered("double", k), 1.0, 0, 0, 0});
+        records.push_back({numbered("double", k), 1.0, 0, 0, 0});
     }
     r.consume(chunk(0, 100, 50, records));
     EXPECT_EQ(r.observedKeys(), 15u);
@@ -291,7 +304,7 @@ TEST(MultiStageSamplingReducerTest, ChaoNeverBelowObserved)
         std::vector<mr::KeyValue> records;
         for (int i = 0; i < 100; ++i) {
             records.push_back(
-                {"k" + std::to_string(zipf.sample(rng)), 1.0, 0, 0, 0});
+                {numbered("k", zipf.sample(rng)), 1.0, 0, 0, 0});
         }
         r.consume(chunk(c, 1000, 100, records));
     }
@@ -309,7 +322,7 @@ TEST(MultiStageSamplingReducerTest, WorstAbsoluteErrorMatchesScan)
     for (uint64_t c = 0; c < 6; ++c) {
         std::vector<mr::KeyValue> records;
         for (int k = 0; k < 8; ++k) {
-            records.push_back({"k" + std::to_string(k),
+            records.push_back({numbered("k", k),
                                rng.uniform(0.0, 10.0 * (k + 1)), 0, 0, 0});
         }
         r.consume(chunk(c, 50, 10, records));
@@ -331,7 +344,7 @@ TEST(MultiStageSamplingReducerTest, PlanStatsTopKSelectsWorstKeys)
     for (uint64_t c = 0; c < 6; ++c) {
         std::vector<mr::KeyValue> records;
         for (int k = 0; k < 40; ++k) {
-            records.push_back({"k" + std::to_string(k),
+            records.push_back({numbered("k", k),
                                rng.uniform(0.0, 2.0 * (k + 1)), 0, 0, 0});
         }
         r.consume(chunk(c, 50, 10, records));
@@ -371,7 +384,7 @@ TEST(MultiStageSamplingReducerTest, SumBoundsUseStudentTAtClustersMinusOne)
     };
     for (Op op : {Op::kSum, Op::kCount}) {
         for (uint64_t n : {0u, 1u, 2u, 3u, 31u}) {
-            SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)) +
+            SCOPED_TRACE(numbered("op ", static_cast<int>(op)) +
                          " n " + std::to_string(n));
             MultiStageSamplingReducer r(op, 0.95);
             std::map<std::string, Fold> folds;
@@ -389,7 +402,7 @@ TEST(MultiStageSamplingReducerTest, SumBoundsUseStudentTAtClustersMinusOne)
                     double v = op == Op::kCount
                                    ? 1.0
                                    : rng.uniform(0.5, 5.0 * (k + 1));
-                    std::string key = "k" + std::to_string(k);
+                    std::string key = numbered("k", k);
                     records.push_back({key, v, 0, 0, 0});
                     Fold& f = folds[key];
                     double tau = big_m / mi * v;
@@ -467,7 +480,7 @@ growingChunks()
         std::vector<mr::KeyValue> records;
         for (uint64_t j = 0; j < 3 + c % 4; ++j) {
             uint64_t k = (c * 5 + j * 3) % (4 + 2 * c);
-            records.push_back({"k" + std::to_string(20 - k),
+            records.push_back({numbered("k", 20 - k),
                                0.5 * static_cast<double>(c) +
                                    static_cast<double>(j),
                                0, 0, 0});
@@ -513,7 +526,7 @@ TEST(MultiStageSamplingReducerTest, CheckpointRestoreContinuesBitIdentically)
     const std::vector<mr::MapOutputChunk> chunks = growingChunks();
     for (Op op : {Op::kSum, Op::kCount, Op::kAverage}) {
         const std::string op_label =
-            "op " + std::to_string(static_cast<int>(op));
+            numbered("op ", static_cast<int>(op));
 
         // The uninterrupted reducer, checkpointed after every chunk...
         MultiStageSamplingReducer reference(op, 0.95);
@@ -853,7 +866,7 @@ observe(const Reducer& r, uint64_t total_clusters)
             (e.finite ? "finite" : "infinite"));
     }
     for (size_t top_k : {size_t{0}, size_t{1}, size_t{5}, size_t{16}}) {
-        o.plan_stats.push_back("top " + std::to_string(top_k));
+        o.plan_stats.push_back(numbered("top ", top_k));
         for (const auto& s : r.planStats(total_clusters, top_k)) {
             o.plan_stats.push_back(
                 s.key + " | " +
@@ -902,7 +915,7 @@ referenceChunks(uint64_t seed, bool census)
                                      std::string("a\0", 2), "a",
                                      "\xc3\xa9t\xc3\xa9", "\xff", "\x80z"};
     for (int i = 0; i < 40; ++i) {
-        pool.push_back("k" + std::to_string(i * 7 % 40));
+        pool.push_back(numbered("k", i * 7 % 40));
     }
     Rng rng(seed);
     ZipfDistribution zipf(pool.size(), 1.05);
@@ -924,7 +937,7 @@ referenceChunks(uint64_t seed, bool census)
         if (c % 3 != 1) {
             for (int t = 0; t < 12; ++t) {
                 records.push_back(
-                    {"tie" + std::to_string((t * 5) % 12), 20.0, 0, 0, 0});
+                    {numbered("tie", (t * 5) % 12), 20.0, 0, 0, 0});
             }
         }
         if (c % 4 == 2) {
@@ -963,7 +976,7 @@ TEST(MultiStageSamplingReducerTest, MatchesMapReferenceBitForBit)
         const std::vector<mr::MapOutputChunk> chunks =
             referenceChunks(19, census);
         const std::string op_label =
-            "op " + std::to_string(static_cast<int>(op)) +
+            numbered("op ", static_cast<int>(op)) +
             (census ? " census" : " sampled");
         MapReferenceReducer reference(op, 0.95);
         MultiStageSamplingReducer reducer(op, 0.95);

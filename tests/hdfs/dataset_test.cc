@@ -25,7 +25,7 @@ TEST(InMemoryDatasetTest, SplitsFlatRecordList)
 {
     std::vector<std::string> records;
     for (int i = 0; i < 10; ++i) {
-        records.push_back("r" + std::to_string(i));
+        records.push_back(std::string("r").append(std::to_string(i)));
     }
     InMemoryDataset ds(records, 4);
     EXPECT_EQ(ds.numBlocks(), 3u);

@@ -1,21 +1,26 @@
 /**
  * @file
- * The parallel executor's run-ahead window: at most two map outputs per
+ * The parallel executor's run-ahead window: at most eight map outputs per
  * worker are submitted and not yet merged, the rest wait in
  * scheduled-finish order, and a task that completes before its turn
- * computes inline. Every scenario here starts far more tasks at once
- * (80 map slots) than the window holds at 2 or 8 threads, and ends many
+ * computes inline. Every scenario here starts more tasks at once (80 map
+ * slots) than the window holds at 2 or 8 threads (16 or 64), and ends many
  * of them before their turn — killed when the target error is met,
  * absorbed after a crash or a lost output, cancelled as a speculative
  * loser — so deferred entries are skipped, released slots are refilled,
  * and the job must still finish with a report byte-identical to the
- * serial run's.
+ * serial run's. A submitted computation whose task ends before a worker
+ * starts it is skipped without running the mapper.
  *
  * The "ComputeWindow" test-name prefix is matched by the TSan CI job.
  */
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,7 +28,9 @@
 #include "core/approx_config.h"
 #include "core/approx_job.h"
 #include "ft/fault_plan.h"
+#include "hdfs/dataset.h"
 #include "hdfs/namenode.h"
+#include "mapreduce/job.h"
 #include "obs/observability.h"
 #include "obs/report.h"
 #include "sim/cluster.h"
@@ -144,6 +151,126 @@ TEST(ComputeWindowTest, EndgameSpeculationCancelsLosers)
     WindowRun serial = expectWindowInvisible(s);
     EXPECT_GT(serial.counters.maps_endgame_speculated, 0u);
     EXPECT_GT(serial.counters.map_attempts_cancelled, 0u);
+}
+
+/**
+ * Holds pool workers inside Mapper::setup until the driver opens it.
+ * Every mapper but the first one created parks there, so once each
+ * worker holds one, the computations still queued cannot start.
+ */
+struct Gate
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    int created = 0;  ///< mappers made by the factory (driver thread)
+    int setups = 0;   ///< setup() calls, i.e. computations started
+    int parked = 0;
+    bool open = false;
+    bool timed_out = false;
+};
+
+class GatedMapper : public mr::Mapper
+{
+  public:
+    GatedMapper(Gate& gate, bool parks) : gate_(gate), parks_(parks) {}
+
+    void
+    setup(mr::MapContext& /*ctx*/) override
+    {
+        std::unique_lock<std::mutex> lock(gate_.mu);
+        ++gate_.setups;
+        if (!parks_) {
+            return;
+        }
+        ++gate_.parked;
+        gate_.cv.notify_all();
+        // The bound only turns a broken premise (the driver waiting on a
+        // parked computation) into a failure instead of a hang.
+        if (!gate_.cv.wait_for(lock, std::chrono::seconds(60),
+                               [this] { return gate_.open; })) {
+            gate_.timed_out = true;
+        }
+    }
+
+    void
+    map(const std::string& record, mr::MapContext& ctx) override
+    {
+        ctx.write(record, 1.0);
+    }
+
+  private:
+    Gate& gate_;
+    bool parks_;
+};
+
+/**
+ * At the first completion, waits until @p workers computations are
+ * parked, ends every other task, then opens the gate.
+ */
+class EndAllWhileParked : public mr::JobController
+{
+  public:
+    EndAllWhileParked(Gate& gate, int workers)
+        : gate_(gate), workers_(workers)
+    {
+    }
+
+    void
+    onMapComplete(mr::JobHandle& job, const mr::MapTaskInfo& /*task*/) override
+    {
+        if (job.completedMaps() != 1) {
+            return;
+        }
+        std::unique_lock<std::mutex> lock(gate_.mu);
+        gate_.cv.wait(lock, [this] {
+            return gate_.parked == workers_ || gate_.timed_out;
+        });
+        job.dropAllRemaining();
+        gate_.open = true;
+        gate_.cv.notify_all();
+    }
+
+  private:
+    Gate& gate_;
+    int workers_;
+};
+
+TEST(ComputeWindowTest, EndedTasksSkipUnstartedComputations)
+{
+    // Noise-free equal costs: every first-wave attempt finishes at the
+    // same time, in start order, so the first completion is the first
+    // computation submitted -- the one mapper that does not park.
+    for (uint32_t threads : {2u, 8u}) {
+        SCOPED_TRACE(threads);
+        sim::Cluster cluster(sim::ClusterConfig::xeon10());
+        hdfs::NameNode nn(cluster.numServers(), 3, 7);
+        hdfs::InMemoryDataset data(std::vector<std::string>(120, "k"), 1);
+        mr::JobConfig config;
+        config.name = "skip-released";
+        config.map_cost.t0 = 10.0;
+        config.map_cost.noise_sigma = 0.0;
+        config.seed = 5;
+        config.num_exec_threads = threads;
+
+        Gate gate;
+        EndAllWhileParked controller(gate, static_cast<int>(threads));
+        mr::Job job(cluster, data, nn, config);
+        job.setMapperFactory([&gate] {
+            return std::make_unique<GatedMapper>(gate, gate.created++ > 0);
+        });
+        job.setReducerFactory(
+            [] { return std::make_unique<mr::SumReducer>(); });
+        job.setController(&controller);
+        mr::JobResult result = job.run();
+
+        ASSERT_FALSE(gate.timed_out);
+        EXPECT_EQ(result.counters.maps_completed, 1u);
+        EXPECT_EQ(result.counters.records_shuffled, 1u);
+        // The first computation and one parked per worker ran; every
+        // other submitted one was skipped once its task was killed.
+        EXPECT_EQ(gate.setups, 1 + static_cast<int>(threads));
+        EXPECT_GT(gate.created, gate.setups);
+    }
 }
 
 }  // namespace

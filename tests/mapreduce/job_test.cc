@@ -62,7 +62,7 @@ smallDataset()
 {
     std::vector<std::string> records;
     for (int i = 0; i < 120; ++i) {
-        records.push_back("k" + std::to_string(i % 6));
+        records.push_back(std::string("k").append(std::to_string(i % 6)));
     }
     return hdfs::InMemoryDataset(records, 10);  // 12 blocks
 }

@@ -145,7 +145,7 @@ TEST(KeyInternerTest, TableGrowthKeepsSlotsAheadOfKeys)
 {
     KeyInterner interner(2);
     for (int i = 0; i < 1000; ++i) {
-        interner.intern("k" + std::to_string(i));
+        interner.intern(std::string("k").append(std::to_string(i)));
     }
     // Growth policy rehashes at 70% load, so a probe always finds an
     // empty slot; the table must be a power of two (mask probing).
