@@ -479,6 +479,17 @@ const ModePin kModePins[] = {
      "r1=40d4140000000000/40d1aab6a0260dbf/40d67d495fd9f241 "
      "r0=40d2740000000000/40d0370a309202b5/40d4b0f5cf6dfd4b "
      "r2=40d53a0000000000/40d2c494783635a3/40d7af6b87c9ca5d"},
+    {"aggregation_average", sim::ClusterConfig::xeon10(), 32, 40,
+     [](ApproxJobRunner& runner) {
+         return runner.runAggregation(
+             fastConfig(3), ratios(0.5, 0.25),
+             [] { return std::make_unique<ResidueMapper>(); },
+             MultiStageSamplingReducer::Op::kAverage);
+     },
+     "runtime=4002b80fd85736b3 counters=02e14ba70b918e5a achieved=0 "
+     "r0=40464873ecade305/40449b5cb650009e/4047f58b230bc56c "
+     "r1=40483ecade304d48/4046b1caa3f28108/4049cbcb186e1988 "
+     "r2=4049284bda12f685/404788c6850189d4/404ac7d12f246336"},
     {"aggregation_target_pilot", fourWaveCluster(), 64, 50,
      [](ApproxJobRunner& runner) {
          ApproxConfig approx;
