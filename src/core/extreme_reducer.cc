@@ -23,29 +23,30 @@ void
 ApproxExtremeReducer::consume(const mr::MapOutputChunk& chunk)
 {
     ++clusters_;
-    // Each of the chunk's keys finds its value list once.
-    chunk_values_.resize(chunk.keys.size());
-    for (uint32_t k = 0; k < chunk.keys.size(); ++k) {
-        chunk_values_[k] = &values_[std::string(chunk.keys.key(k))];
-    }
+    const std::vector<uint32_t>& ids = values_.bind(chunk.keys);
     for (const mr::Row& row : chunk.records) {
-        chunk_values_[row.key]->push_back(row.value);
+        values_[ids[row.key]].push_back(row.value);
     }
 }
 
 stats::ExtremeEstimate
 ApproxExtremeReducer::estimateKey(const std::string& key) const
 {
+    return estimate(values_.find(key));
+}
+
+stats::ExtremeEstimate
+ApproxExtremeReducer::estimate(const std::vector<double>* values) const
+{
     stats::ExtremeEstimate failed;
     failed.confidence = confidence_;
     failed.lower = -std::numeric_limits<double>::infinity();
     failed.upper = std::numeric_limits<double>::infinity();
 
-    auto it = values_.find(key);
-    if (it == values_.end() || it->second.size() < 3) {
+    if (values == nullptr || values->size() < 3) {
         return failed;
     }
-    std::vector<double> sample = it->second;
+    std::vector<double> sample = *values;
     if (!values_are_extremes_) {
         size_t blocks = stats::defaultBlockCount(sample.size());
         sample = minimum_ ? stats::blockMinima(sample, blocks)
@@ -64,10 +65,10 @@ ApproxExtremeReducer::currentEstimates(uint64_t /*total_clusters*/) const
 {
     std::vector<KeyEstimate> estimates;
     estimates.reserve(values_.size());
-    for (const auto& [key, _] : values_) {
-        stats::ExtremeEstimate e = estimateKey(key);
+    for (uint32_t id : values_.sorted()) {
+        stats::ExtremeEstimate e = estimate(&values_[id]);
         KeyEstimate est;
-        est.key = key;
+        est.key = values_.key(id);
         est.value = e.value;
         est.lower = e.lower;
         est.upper = e.upper;
@@ -83,10 +84,11 @@ ApproxExtremeReducer::currentEstimates(uint64_t /*total_clusters*/) const
 void
 ApproxExtremeReducer::finalize(mr::ReduceContext& ctx)
 {
-    for (const auto& [key, vals] : values_) {
-        stats::ExtremeEstimate e = estimateKey(key);
+    for (uint32_t id : values_.sorted()) {
+        const std::vector<double>& vals = values_[id];
+        stats::ExtremeEstimate e = estimate(&vals);
         mr::OutputRecord rec;
-        rec.key = key;
+        rec.key = values_.key(id);
         rec.has_bound = true;
         if (e.ok) {
             rec.value = e.value;

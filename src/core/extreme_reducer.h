@@ -2,11 +2,11 @@
 #define APPROXHADOOP_CORE_EXTREME_REDUCER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/key_estimate.h"
+#include "mapreduce/key_interner.h"
 #include "mapreduce/reducer.h"
 #include "stats/gev_fit.h"
 
@@ -52,14 +52,17 @@ class ApproxExtremeReducer : public ErrorBoundedReducer
     bool minimum() const { return minimum_; }
 
   private:
+    /** The fit over one key's @p values (failed when null or below
+     *  three values). */
+    stats::ExtremeEstimate estimate(const std::vector<double>* values) const;
+
     bool minimum_;
     double percentile_;
     double confidence_;
     bool values_are_extremes_;
     uint64_t clusters_ = 0;
-    std::map<std::string, std::vector<double>> values_;
-    /** The chunk being folded, by chunk key id: its key's value list. */
-    std::vector<std::vector<double>*> chunk_values_;
+    /** Per key, every value received, in arrival order. */
+    mr::KeyedState<std::vector<double>> values_;
 };
 
 /** Convenience subclass matching the paper's class name. */

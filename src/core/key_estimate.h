@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mapreduce/reducer.h"
@@ -33,6 +35,38 @@ struct KeyEstimate
         return error_bound / std::fabs(value);
     }
 };
+
+/** The estimate @p value +/- @p bound for @p key; a bound of +inf
+ *  leaves it not finite. */
+inline KeyEstimate
+symmetricEstimate(std::string_view key, double value, double bound)
+{
+    KeyEstimate est;
+    est.key = key;
+    est.value = value;
+    est.error_bound = bound;
+    est.lower = value - bound;
+    est.upper = value + bound;
+    est.finite = std::isfinite(bound);
+    return est;
+}
+
+/** Writes each of @p estimates as a bounded output record; one that is
+ *  not finite gets the interval (-inf, +inf). */
+inline void
+writeEstimates(mr::ReduceContext& ctx, std::vector<KeyEstimate> estimates)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (KeyEstimate& est : estimates) {
+        mr::OutputRecord rec;
+        rec.key = std::move(est.key);
+        rec.value = est.value;
+        rec.has_bound = true;
+        rec.lower = est.finite ? est.lower : -kInf;
+        rec.upper = est.finite ? est.upper : kInf;
+        ctx.write(std::move(rec));
+    }
+}
 
 /**
  * Interface implemented by every approximation-aware reducer: exposes

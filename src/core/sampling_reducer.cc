@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,20 +31,11 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
 
     if (op_ == Op::kSum || op_ == Op::kCount) {
         // Fold this cluster's per-key moments into O(1)-per-key state.
-        // One intern per distinct key of the chunk, in the order of each
-        // key's first row; chunk_ holds the chunk's moments by chunk key
-        // id, so the keys fold in first-seen order and new keys join
-        // dirty_ (and later image_) in the order the chunk introduced
-        // them.
+        // chunk_ holds the chunk's moments by chunk key id, so the keys
+        // fold in first-seen order and new keys join dirty_ (and later
+        // image_) in the order the chunk introduced them.
         size_t nkeys = chunk.keys.size();
-        chunk_ids_.resize(nkeys);
-        for (uint32_t k = 0; k < nkeys; ++k) {
-            uint32_t id = keys_.intern(chunk.keys.key(k));
-            if (id == aggs_.size()) {
-                aggs_.emplace_back();
-            }
-            chunk_ids_[k] = id;
-        }
+        const std::vector<uint32_t>& ids = aggs_.bind(chunk.keys);
         chunk_.assign(nkeys, Moments{});
         for (const mr::Row& row : chunk.records) {
             Moments& m = chunk_[row.key];
@@ -71,11 +61,11 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
         double big_m = static_cast<double>(chunk.items_total);
         double mi = static_cast<double>(chunk.items_processed);
         for (uint32_t k = 0; k < nkeys; ++k) {
-            SumAggregate& agg = aggs_[chunk_ids_[k]];
+            SumAggregate& agg = aggs_[ids[k]];
             const Moments& km = chunk_[k];
             if (!agg.dirty) {
                 agg.dirty = true;
-                dirty_.push_back(chunk_ids_[k]);
+                dirty_.push_back(ids[k]);
             }
             ++agg.emitted_clusters;
             agg.records += km.count;
@@ -95,19 +85,18 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
         return;
     }
 
-    // kAverage / kRatio: keep per-cluster samples per key; each of the
-    // chunk's keys finds its sample once.
+    // kAverage / kRatio: each of the chunk's keys appends this cluster's
+    // sample, so every key's samples stay in cluster order.
     cluster_sizes_.emplace_back(chunk.items_total, chunk.items_processed);
-    ratio_slots_.resize(chunk.keys.size());
-    for (uint32_t k = 0; k < chunk.keys.size(); ++k) {
-        stats::RatioClusterSample& s =
-            ratio_data_[std::string(chunk.keys.key(k))][cluster_index];
-        s.units_total = chunk.items_total;
-        s.units_sampled = chunk.items_processed;
-        ratio_slots_[k] = &s;
+    const std::vector<uint32_t>& ids = ratios_.bind(chunk.keys);
+    for (uint32_t id : ids) {
+        RatioSample& s = ratios_[id].emplace_back();
+        s.cluster = cluster_index;
+        s.sample.units_total = chunk.items_total;
+        s.sample.units_sampled = chunk.items_processed;
     }
     for (const mr::Row& row : chunk.records) {
-        stats::RatioClusterSample& s = *ratio_slots_[row.key];
+        stats::RatioClusterSample& s = ratios_[ids[row.key]].back().sample;
         double y = row.value;
         double x = op_ == Op::kAverage ? 1.0 : row.value2;
         s.sum_y += y;
@@ -116,25 +105,6 @@ MultiStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
         s.sum_squares_x += x * x;
         s.sum_xy += y * x;
     }
-}
-
-const std::vector<uint32_t>&
-MultiStageSamplingReducer::keyOrder() const
-{
-    size_t sorted = key_order_.size();
-    if (sorted < aggs_.size()) {
-        for (size_t id = sorted; id < aggs_.size(); ++id) {
-            key_order_.push_back(static_cast<uint32_t>(id));
-        }
-        auto by_key = [this](uint32_t a, uint32_t b) {
-            return keys_.key(a) < keys_.key(b);
-        };
-        auto mid = key_order_.begin() + static_cast<ptrdiff_t>(sorted);
-        std::sort(mid, key_order_.end(), by_key);
-        std::inplace_merge(key_order_.begin(), mid, key_order_.end(),
-                           by_key);
-    }
-    return key_order_;
 }
 
 double
@@ -171,59 +141,24 @@ MultiStageSamplingReducer::sumEstimateNumbers(const SumAggregate& agg,
     return {value, t * std::sqrt(variance)};
 }
 
-KeyEstimate
-MultiStageSamplingReducer::sumEstimate(std::string_view key,
-                                       const SumAggregate& agg,
-                                       uint64_t total_clusters,
-                                       double t) const
-{
-    KeyEstimate est;
-    est.key = key;
-    auto [value, bound] = sumEstimateNumbers(agg, total_clusters, t);
-    est.value = value;
-    est.error_bound = bound;
-    est.lower = est.value - est.error_bound;
-    est.upper = est.value + est.error_bound;
-    est.finite = std::isfinite(est.error_bound);
-    return est;
-}
-
-std::vector<stats::RatioClusterSample>
-MultiStageSamplingReducer::ratioSamples(const std::string& key) const
+stats::Estimate
+MultiStageSamplingReducer::ratioEstimate(
+    const std::vector<RatioSample>& emitted, uint64_t total_clusters) const
 {
     std::vector<stats::RatioClusterSample> samples;
     samples.reserve(clusters_);
-    auto it = ratio_data_.find(key);
+    auto next = emitted.begin();
     for (uint64_t c = 0; c < clusters_; ++c) {
-        if (it != ratio_data_.end()) {
-            auto cit = it->second.find(c);
-            if (cit != it->second.end()) {
-                samples.push_back(cit->second);
-                continue;
-            }
+        if (next != emitted.end() && next->cluster == c) {
+            samples.push_back((next++)->sample);
+            continue;
         }
-        stats::RatioClusterSample zero;
+        stats::RatioClusterSample& zero = samples.emplace_back();
         zero.units_total = cluster_sizes_[c].first;
         zero.units_sampled = cluster_sizes_[c].second;
-        samples.push_back(zero);
     }
-    return samples;
-}
-
-KeyEstimate
-MultiStageSamplingReducer::ratioEstimate(const std::string& key,
-                                         uint64_t total_clusters) const
-{
-    stats::Estimate e = stats::TwoStageEstimator::estimateRatio(
-        ratioSamples(key), total_clusters, confidence_);
-    KeyEstimate est;
-    est.key = key;
-    est.value = e.value;
-    est.error_bound = e.error_bound;
-    est.lower = e.value - e.error_bound;
-    est.upper = e.value + e.error_bound;
-    est.finite = std::isfinite(e.error_bound);
-    return est;
+    return stats::TwoStageEstimator::estimateRatio(samples, total_clusters,
+                                                   confidence_);
 }
 
 std::vector<KeyEstimate>
@@ -233,13 +168,17 @@ MultiStageSamplingReducer::currentEstimates(uint64_t total_clusters) const
     if (op_ == Op::kSum || op_ == Op::kCount) {
         estimates.reserve(aggs_.size());
         double t = criticalT();
-        for (uint32_t id : keyOrder()) {
-            estimates.push_back(
-                sumEstimate(keys_.key(id), aggs_[id], total_clusters, t));
+        for (uint32_t id : aggs_.sorted()) {
+            auto [value, bound] =
+                sumEstimateNumbers(aggs_[id], total_clusters, t);
+            estimates.push_back(symmetricEstimate(aggs_.key(id), value, bound));
         }
     } else {
-        for (const auto& [key, _] : ratio_data_) {
-            estimates.push_back(ratioEstimate(key, total_clusters));
+        estimates.reserve(ratios_.size());
+        for (uint32_t id : ratios_.sorted()) {
+            stats::Estimate e = ratioEstimate(ratios_[id], total_clusters);
+            estimates.push_back(
+                symmetricEstimate(ratios_.key(id), e.value, e.error_bound));
         }
     }
     return estimates;
@@ -264,7 +203,7 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
     auto make_stats = [&](uint32_t id) {
         const SumAggregate& agg = aggs_[id];
         KeyPlanStats stats;
-        stats.key = keys_.key(id);
+        stats.key = aggs_.key(id);
         stats.tau_hat = big_n / nd * agg.sum_tau;
         double s2u = (agg.sum_tau_sq - agg.sum_tau * agg.sum_tau / nd) /
                      (nd - 1.0);
@@ -278,7 +217,7 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
 
     if (top_k == 0 || aggs_.size() <= top_k) {
         result.reserve(aggs_.size());
-        for (uint32_t id : keyOrder()) {
+        for (uint32_t id : aggs_.sorted()) {
             result.push_back(make_stats(id));
         }
         return result;
@@ -293,7 +232,7 @@ MultiStageSamplingReducer::planStats(uint64_t total_clusters,
     };
     std::vector<Entry> heap;
     heap.reserve(top_k + 1);
-    for (uint32_t id : keyOrder()) {
+    for (uint32_t id : aggs_.sorted()) {
         double bound = sumEstimateNumbers(aggs_[id], total_clusters, t).second;
         if (heap.size() < top_k) {
             heap.emplace_back(bound, id);
@@ -333,7 +272,7 @@ MultiStageSamplingReducer::worstAbsoluteError(uint64_t total_clusters) const
             }
             if (bound > worst.error_bound ||
                 (bound == worst.error_bound && bound > 0.0 &&
-                 keys_.key(id) < keys_.key(worst_id))) {
+                 aggs_.key(id) < aggs_.key(worst_id))) {
                 worst.error_bound = bound;
                 worst.value = value;
                 worst_id = id;
@@ -366,7 +305,8 @@ MultiStageSamplingReducer::estimateDistinctKeys() const
     }
     uint64_t singletons = 0;
     uint64_t doubletons = 0;
-    for (const SumAggregate& agg : aggs_) {
+    for (uint32_t id = 0; id < aggs_.size(); ++id) {
+        const SumAggregate& agg = aggs_[id];
         if (agg.records == 1) {
             ++singletons;
         } else if (agg.records == 2) {
@@ -386,20 +326,7 @@ MultiStageSamplingReducer::estimateDistinctKeys() const
 void
 MultiStageSamplingReducer::finalize(mr::ReduceContext& ctx)
 {
-    for (KeyEstimate& est : currentEstimates(ctx.totalMapTasks())) {
-        mr::OutputRecord rec;
-        rec.key = std::move(est.key);
-        rec.value = est.value;
-        rec.has_bound = true;
-        if (est.finite) {
-            rec.lower = est.lower;
-            rec.upper = est.upper;
-        } else {
-            rec.lower = -std::numeric_limits<double>::infinity();
-            rec.upper = std::numeric_limits<double>::infinity();
-        }
-        ctx.write(std::move(rec));
-    }
+    writeEstimates(ctx, currentEstimates(ctx.totalMapTasks()));
 }
 
 namespace {
@@ -456,7 +383,7 @@ MultiStageSamplingReducer::refreshImage() const
     size_t records_end = image_.size() - sizeof(kEmptyRatioSections);
     image_.resize(records_end);
     for (uint32_t id : dirty_) {
-        std::string_view key = keys_.key(id);
+        std::string_view key = aggs_.key(id);
         const SumAggregate& agg = aggs_[id];
         bool appended = agg.image_offset == 0;
         if (appended) {
@@ -525,21 +452,12 @@ MultiStageSamplingReducer::checkpoint(std::string& state) const
         w.putU64(processed);
     }
 
-    w.putU64(ratio_data_.size());
-    for (const auto& [key, per_cluster] : ratio_data_) {
-        w.putString(key);
-        // The inner map is unordered; serialize sorted by cluster id so
-        // the blob (and anything hashed over it) is deterministic.
-        std::vector<uint64_t> ids;
-        ids.reserve(per_cluster.size());
-        for (const auto& [id, sample] : per_cluster) {
-            ids.push_back(id);
-        }
-        std::sort(ids.begin(), ids.end());
-        w.putU64(ids.size());
-        for (uint64_t id : ids) {
-            const stats::RatioClusterSample& s = per_cluster.at(id);
-            w.putU64(id);
+    w.putU64(ratios_.size());
+    for (uint32_t id : ratios_.sorted()) {
+        w.putString(ratios_.key(id));
+        w.putU64(ratios_[id].size());
+        for (const auto& [cluster, s] : ratios_[id]) {
+            w.putU64(cluster);
             w.putU64(s.units_total);
             w.putU64(s.units_sampled);
             w.putDouble(s.sum_y);
@@ -567,15 +485,10 @@ MultiStageSamplingReducer::restore(const std::string& state)
     uint64_t clusters = r.getU64();
 
     // Keys get ids in blob order, which is first-seen order.
-    mr::KeyInterner keys;
-    std::vector<SumAggregate> aggs;
+    mr::KeyedState<SumAggregate> aggs;
     uint64_t num_sums = r.getU64();
     for (uint64_t i = 0; i < num_sums; ++i) {
-        if (keys.intern(r.getString()) != aggs.size()) {
-            throw std::runtime_error(
-                "sampling reducer checkpoint: duplicate key");
-        }
-        SumAggregate& agg = aggs.emplace_back();
+        SumAggregate& agg = aggs.add(r.getString());
         agg.image_offset = r.position();
         agg.emitted_clusters = r.getU64();
         agg.records = r.getU64();
@@ -595,18 +508,20 @@ MultiStageSamplingReducer::restore(const std::string& state)
         cluster_sizes.emplace_back(total, processed);
     }
 
-    std::map<std::string,
-             std::unordered_map<uint64_t, stats::RatioClusterSample>>
-        ratio_data;
+    mr::KeyedState<std::vector<RatioSample>> ratios;
     uint64_t num_ratio_keys = r.getU64();
     for (uint64_t i = 0; i < num_ratio_keys; ++i) {
-        std::string key = r.getString();
+        std::vector<RatioSample>& samples = ratios.add(r.getString());
         uint64_t count = r.getU64();
-        auto& per_cluster = ratio_data[key];
-        per_cluster.reserve(count);
         for (uint64_t c = 0; c < count; ++c) {
-            uint64_t id = r.getU64();
-            stats::RatioClusterSample s;
+            uint64_t cluster = r.getU64();
+            if (cluster >= clusters ||
+                (!samples.empty() && cluster <= samples.back().cluster)) {
+                throw std::runtime_error(
+                    "sampling reducer checkpoint: ratio clusters out of order");
+            }
+            samples.push_back({cluster, {}});
+            stats::RatioClusterSample& s = samples.back().sample;
             s.units_total = r.getU64();
             s.units_sampled = r.getU64();
             s.sum_y = r.getDouble();
@@ -614,15 +529,12 @@ MultiStageSamplingReducer::restore(const std::string& state)
             s.sum_x = r.getDouble();
             s.sum_squares_x = r.getDouble();
             s.sum_xy = r.getDouble();
-            per_cluster.emplace(id, s);
         }
     }
     r.expectEnd();
 
     clusters_ = clusters;
-    keys_ = std::move(keys);
     aggs_ = std::move(aggs);
-    key_order_.clear();
     dirty_.clear();
     if (op_ == Op::kSum || op_ == Op::kCount) {
         // The snapshot's header and records are the image, in the
@@ -639,7 +551,7 @@ MultiStageSamplingReducer::restore(const std::string& state)
         image_.clear();
     }
     cluster_sizes_ = std::move(cluster_sizes);
-    ratio_data_ = std::move(ratio_data);
+    ratios_ = std::move(ratios);
     return true;
 }
 

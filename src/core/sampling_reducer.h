@@ -3,10 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -147,7 +144,7 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     observedKeys() const
     {
         return op_ == Op::kSum || op_ == Op::kCount ? aggs_.size()
-                                                    : ratio_data_.size();
+                                                    : ratios_.size();
     }
 
     Op op() const { return op_; }
@@ -171,6 +168,13 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
         mutable bool dirty = false;
     };
 
+    /** One key's sample from one cluster that emitted it. */
+    struct RatioSample
+    {
+        uint64_t cluster = 0;
+        stats::RatioClusterSample sample;
+    };
+
     /** One chunk's moments for one key. */
     struct Moments
     {
@@ -186,13 +190,8 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
      */
     double criticalT() const;
 
-    /** Computes one key's sum/count estimate from its folded aggregate;
-     *  @p t is criticalT(). */
-    KeyEstimate sumEstimate(std::string_view key, const SumAggregate& agg,
-                            uint64_t total_clusters, double t) const;
-
     /**
-     * String-free core of sumEstimate for the hot scan paths.
+     * String-free core of the sum/count estimate for the hot scan paths.
      * @param t criticalT()
      * @return {value, error_bound (may be +inf)}
      */
@@ -200,34 +199,20 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
     sumEstimateNumbers(const SumAggregate& agg, uint64_t total_clusters,
                        double t) const;
 
-    /** Builds the full per-cluster vector (with zero rows) for a key. */
-    std::vector<stats::RatioClusterSample>
-    ratioSamples(const std::string& key) const;
-
-    KeyEstimate ratioEstimate(const std::string& key,
-                              uint64_t total_clusters) const;
+    /** One key's ratio estimate from the clusters that emitted it; the
+     *  consumed clusters that did not count as zero rows. */
+    stats::Estimate ratioEstimate(const std::vector<RatioSample>& emitted,
+                                  uint64_t total_clusters) const;
 
     Op op_;
     double confidence_;
     uint64_t clusters_ = 0;
 
-    // kSum/kCount path: O(1) state per key. Each key has an id from
-    // keys_ (first-seen order) that indexes aggs_.
-    mr::KeyInterner keys_;
-    std::vector<SumAggregate> aggs_;
-    /** The chunk being folded, by chunk key id: our id for the key and
-     *  the chunk's moments for it; kept only to reuse their memory. */
-    std::vector<uint32_t> chunk_ids_;
+    /** kSum/kCount: O(1) state per key. */
+    mr::KeyedState<SumAggregate> aggs_;
+    /** The chunk being folded, by chunk key id: its moments for the key;
+     *  kept only to reuse the memory. */
     std::vector<Moments> chunk_;
-
-    /**
-     * Every id, sorted by key string. The scans walk keys in this order,
-     * so a tie (an equal bound, equal entries in a top-k heap) is settled
-     * by key order, never by the order keys arrived in. Ids added since
-     * the previous call are sorted and merged in.
-     */
-    const std::vector<uint32_t>& keyOrder() const;
-    mutable std::vector<uint32_t> key_order_;
 
     /** Brings image_ up to date under a new version: patches the dirty
      *  keys' value bytes, appends keys never written, rewrites the
@@ -257,16 +242,11 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
      *  order. */
     mutable std::vector<uint32_t> dirty_;
 
-    // kAverage/kRatio path: per-key per-emitting-cluster samples plus the
-    // (M_i, m_i) roster of every consumed cluster so implicit-zero rows
-    // can be reconstructed at estimation time.
+    /** kAverage/kRatio: per key, the samples of the clusters that
+     *  emitted it, in cluster order. */
+    mr::KeyedState<std::vector<RatioSample>> ratios_;
+    /** (M_i, m_i) of every consumed cluster, for the zero rows. */
     std::vector<std::pair<uint64_t, uint64_t>> cluster_sizes_;
-    std::map<std::string,
-             std::unordered_map<uint64_t, stats::RatioClusterSample>>
-        ratio_data_;
-    /** The chunk being folded, by chunk key id: its key's sample for
-     *  the chunk's cluster. */
-    std::vector<stats::RatioClusterSample*> ratio_slots_;
 };
 
 }  // namespace approxhadoop::core

@@ -101,7 +101,6 @@ class TargetErrorController : public mr::JobController
      * already dropped stay dropped. @pre scale >= 1.
      */
     void setTargetScale(double scale);
-    double targetScale() const { return target_scale_; }
 
     /**
      * Journal snapshot of the replan state (pilot released, target

@@ -1,8 +1,6 @@
 #include "core/three_stage_reducer.h"
 
 #include <cassert>
-#include <cmath>
-#include <limits>
 
 namespace approxhadoop::core {
 
@@ -19,21 +17,11 @@ ThreeStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
     ++clusters_;
     cluster_sizes_.emplace_back(chunk.items_total, chunk.items_processed);
 
-    // Each of the chunk's keys finds its cluster list once.
-    chunk_units_.resize(chunk.keys.size());
-    for (uint32_t k = 0; k < chunk.keys.size(); ++k) {
-        std::vector<stats::ThreeStageCluster>& clusters =
-            data_[std::string(chunk.keys.key(k))];
-        // Clusters arrive in order; pad with empty entries for clusters
-        // that emitted nothing for this key so indices line up.
-        while (clusters.size() <= cluster_index) {
-            stats::ThreeStageCluster c;
-            size_t idx = clusters.size();
-            c.units_total = cluster_sizes_[idx].first;
-            c.units_sampled = cluster_sizes_[idx].second;
-            clusters.push_back(c);
-        }
-        chunk_units_[k] = &clusters[cluster_index].units;
+    // Clusters arrive in order, so padding each key to this cluster
+    // leaves the cluster's entry last.
+    const std::vector<uint32_t>& ids = data_.bind(chunk.keys);
+    for (uint32_t id : ids) {
+        pad(data_[id], cluster_index + 1);
     }
     for (const mr::Row& row : chunk.records) {
         stats::UnitSample unit;
@@ -41,7 +29,18 @@ ThreeStageSamplingReducer::consume(const mr::MapOutputChunk& chunk)
         unit.sum_squares = row.value2;
         unit.subunits_total = static_cast<uint64_t>(row.value3);
         unit.subunits_sampled = static_cast<uint64_t>(row.value4);
-        chunk_units_[row.key]->push_back(unit);
+        data_[ids[row.key]].back().units.push_back(unit);
+    }
+}
+
+void
+ThreeStageSamplingReducer::pad(std::vector<stats::ThreeStageCluster>& clusters,
+                               size_t n) const
+{
+    while (clusters.size() < n) {
+        stats::ThreeStageCluster& c = clusters.emplace_back();
+        c.units_total = cluster_sizes_[clusters.size() - 1].first;
+        c.units_sampled = cluster_sizes_[clusters.size() - 1].second;
     }
 }
 
@@ -50,30 +49,17 @@ ThreeStageSamplingReducer::currentEstimates(uint64_t total_clusters) const
 {
     std::vector<KeyEstimate> estimates;
     estimates.reserve(data_.size());
-    for (const auto& [key, clusters] : data_) {
-        // Pad with trailing zero clusters up to the consumed count.
-        std::vector<stats::ThreeStageCluster> padded = clusters;
-        while (padded.size() < clusters_) {
-            stats::ThreeStageCluster c;
-            size_t idx = padded.size();
-            c.units_total = cluster_sizes_[idx].first;
-            c.units_sampled = cluster_sizes_[idx].second;
-            padded.push_back(c);
-        }
+    for (uint32_t id : data_.sorted()) {
+        std::vector<stats::ThreeStageCluster> padded = data_[id];
+        pad(padded, clusters_);
         stats::Estimate e =
             op_ == Op::kSum
                 ? stats::ThreeStageEstimator::estimateSum(
                       padded, total_clusters, confidence_)
                 : stats::ThreeStageEstimator::estimateAverage(
                       padded, total_clusters, confidence_);
-        KeyEstimate est;
-        est.key = key;
-        est.value = e.value;
-        est.error_bound = e.error_bound;
-        est.lower = e.value - e.error_bound;
-        est.upper = e.value + e.error_bound;
-        est.finite = std::isfinite(e.error_bound);
-        estimates.push_back(std::move(est));
+        estimates.push_back(
+            symmetricEstimate(data_.key(id), e.value, e.error_bound));
     }
     return estimates;
 }
@@ -81,20 +67,7 @@ ThreeStageSamplingReducer::currentEstimates(uint64_t total_clusters) const
 void
 ThreeStageSamplingReducer::finalize(mr::ReduceContext& ctx)
 {
-    for (KeyEstimate& est : currentEstimates(ctx.totalMapTasks())) {
-        mr::OutputRecord rec;
-        rec.key = est.key;
-        rec.value = est.value;
-        rec.has_bound = true;
-        if (est.finite) {
-            rec.lower = est.lower;
-            rec.upper = est.upper;
-        } else {
-            rec.lower = -std::numeric_limits<double>::infinity();
-            rec.upper = std::numeric_limits<double>::infinity();
-        }
-        ctx.write(std::move(rec));
-    }
+    writeEstimates(ctx, currentEstimates(ctx.totalMapTasks()));
 }
 
 }  // namespace approxhadoop::core

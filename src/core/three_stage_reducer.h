@@ -2,11 +2,11 @@
 #define APPROXHADOOP_CORE_THREE_STAGE_REDUCER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/key_estimate.h"
+#include "mapreduce/key_interner.h"
 #include "mapreduce/mapper.h"
 #include "mapreduce/reducer.h"
 #include "stats/three_stage.h"
@@ -68,14 +68,16 @@ class ThreeStageSamplingReducer : public ErrorBoundedReducer
     uint64_t clustersConsumed() const override { return clusters_; }
 
   private:
+    /** Appends a zero entry for each consumed cluster from
+     *  @p clusters' end up to cluster @p n - 1. */
+    void pad(std::vector<stats::ThreeStageCluster>& clusters,
+             size_t n) const;
+
     Op op_;
     double confidence_;
     uint64_t clusters_ = 0;
-    /** Per key: the per-cluster nested samples. */
-    std::map<std::string, std::vector<stats::ThreeStageCluster>> data_;
-    /** The chunk being folded, by chunk key id: its key's unit list for
-     *  the chunk's cluster. */
-    std::vector<std::vector<stats::UnitSample>*> chunk_units_;
+    /** Per key, one entry per cluster up to the last that emitted it. */
+    mr::KeyedState<std::vector<stats::ThreeStageCluster>> data_;
     /** (M_i, m_i) for every consumed cluster, for implicit-zero rows. */
     std::vector<std::pair<uint64_t, uint64_t>> cluster_sizes_;
 };

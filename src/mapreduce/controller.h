@@ -48,12 +48,6 @@ class JobHandle
     void setPendingSamplingRatio(double ratio);
 
     /**
-     * Sets the fraction of not-yet-started tasks that will run the
-     * user-defined approximate map variant.
-     */
-    void setPendingApproximateFraction(double fraction);
-
-    /**
      * Drops up to @p count randomly chosen pending tasks.
      * @return the number actually dropped
      */

@@ -169,13 +169,6 @@ JobHandle::setPendingSamplingRatio(double ratio)
     job_.pending_sampling_ratio_ = ratio;
 }
 
-void
-JobHandle::setPendingApproximateFraction(double fraction)
-{
-    assert(fraction >= 0.0 && fraction <= 1.0);
-    job_.pending_approx_fraction_ = fraction;
-}
-
 uint64_t
 JobHandle::dropPendingMaps(uint64_t count)
 {

@@ -1,7 +1,9 @@
 #include "mapreduce/key_interner.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace approxhadoop::mr {
 
@@ -157,6 +159,55 @@ KeyInterner::rehash(size_t new_slots)
         }
         slots_[slot] = (h & kTagMask) | (uint64_t{id} + 1);
     }
+}
+
+const std::vector<uint32_t>&
+KeyIndex::bind(const KeyTable& chunk)
+{
+    chunk_ids_.resize(chunk.size());
+    for (uint32_t k = 0; k < chunk.size(); ++k) {
+        chunk_ids_[k] = keys_.intern(chunk.key(k));
+    }
+    return chunk_ids_;
+}
+
+void
+KeyIndex::add(std::string_view key)
+{
+    size_t before = keys_.size();
+    if (keys_.intern(key) != before) {
+        throw std::runtime_error("reducer checkpoint: duplicate key");
+    }
+}
+
+const std::vector<uint32_t>&
+KeyIndex::sorted() const
+{
+    size_t done = sorted_.size();
+    if (done < keys_.size()) {
+        for (size_t id = done; id < keys_.size(); ++id) {
+            sorted_.push_back(static_cast<uint32_t>(id));
+        }
+        auto by_key = [this](uint32_t a, uint32_t b) {
+            return keys_.key(a) < keys_.key(b);
+        };
+        auto mid = sorted_.begin() + static_cast<ptrdiff_t>(done);
+        std::sort(mid, sorted_.end(), by_key);
+        std::inplace_merge(sorted_.begin(), mid, sorted_.end(), by_key);
+    }
+    return sorted_;
+}
+
+uint32_t
+KeyIndex::find(std::string_view key) const
+{
+    const std::vector<uint32_t>& order = sorted();
+    auto it = std::lower_bound(
+        order.begin(), order.end(), key,
+        [this](uint32_t id, std::string_view k) { return keys_.key(id) < k; });
+    return it != order.end() && keys_.key(*it) == key
+               ? *it
+               : static_cast<uint32_t>(keys_.size());
 }
 
 }  // namespace approxhadoop::mr

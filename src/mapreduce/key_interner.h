@@ -1,6 +1,7 @@
 #ifndef APPROXHADOOP_MAPREDUCE_KEY_INTERNER_H_
 #define APPROXHADOOP_MAPREDUCE_KEY_INTERNER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -118,6 +119,97 @@ class KeyInterner
      */
     std::vector<uint64_t> slots_;
     size_t mask_ = 0;
+};
+
+/**
+ * The keys of a per-key store, apart from its values: a KeyInterner,
+ * the ids sorted by key, and the chunk binding. KeyedState adds one T
+ * per id; the key work is here once, not once per T. Not thread-safe,
+ * not even its const calls: sorted() and find() extend the sorted list.
+ */
+class KeyIndex
+{
+  public:
+    /**
+     * Interns each of @p chunk's keys once, in id order (the order of
+     * each key's first row). Returns our id for each chunk key id, valid
+     * until the next bind(); a key never seen gets the next id.
+     */
+    const std::vector<uint32_t>& bind(const KeyTable& chunk);
+
+    /** Adds @p key under the next id (restore side); throws
+     *  std::runtime_error if the key is already there. */
+    void add(std::string_view key);
+
+    /**
+     * Every id, sorted by key bytes (std::string ordering). Ids added
+     * since the previous call are sorted and merged in, so a walk per
+     * consumed chunk costs the new keys' sort plus one merge.
+     */
+    const std::vector<uint32_t>& sorted() const;
+
+    /** The id of @p key, or size() when the key was never seen. */
+    uint32_t find(std::string_view key) const;
+
+    /** The key of @p id; the view lasts until the next bind() or add(). */
+    std::string_view key(uint32_t id) const { return keys_.key(id); }
+
+    /** Number of keys. */
+    size_t size() const { return keys_.size(); }
+
+  private:
+    KeyInterner keys_;
+    /** The ids sorted by key, as of the last sorted(). */
+    mutable std::vector<uint32_t> sorted_;
+    /** bind()'s result, reused across chunks. */
+    std::vector<uint32_t> chunk_ids_;
+};
+
+/**
+ * The per-key store every reducer keeps its state in: a KeyIndex and one
+ * T per key id, ids in first-seen order.
+ *
+ * consume() binds a chunk's key table once, then folds each row into
+ * the state of the id its chunk key maps to. Readers that must not
+ * depend on arrival order (output, estimates, tie-breaks) walk sorted().
+ * A restore fills a fresh store through add(), which rejects a repeated
+ * key, and swaps it in.
+ */
+template <typename T>
+class KeyedState : public KeyIndex
+{
+  public:
+    /** KeyIndex::bind, starting a default T for each key never seen. */
+    const std::vector<uint32_t>&
+    bind(const KeyTable& chunk)
+    {
+        const std::vector<uint32_t>& ids = KeyIndex::bind(chunk);
+        values_.resize(size());
+        return ids;
+    }
+
+    /** KeyIndex::add; returns the new key's default T. */
+    T&
+    add(std::string_view key)
+    {
+        KeyIndex::add(key);
+        return values_.emplace_back();
+    }
+
+    /** The state of @p key, or nullptr when the key was never seen. */
+    const T*
+    find(std::string_view key) const
+    {
+        uint32_t id = KeyIndex::find(key);
+        return id < values_.size() ? &values_[id] : nullptr;
+    }
+
+    T& operator[](uint32_t id) { return values_[id]; }
+    const T& operator[](uint32_t id) const { return values_[id]; }
+
+  private:
+    /** Indexed by key id. */
+    std::vector<T> values_;
 };
 
 }  // namespace approxhadoop::mr

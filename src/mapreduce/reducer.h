@@ -194,15 +194,14 @@ class Reducer
  * Precise per-key fold: the classic Hadoop reduce(key, values) for the
  * five built-in operations, computed without buffering any record.
  *
- * Each key gets a reducer-local id (first-seen order) and one
- * accumulator {value, n}; consume() interns each of the chunk's keys
- * once, then folds every row into its key's accumulator in delivery
- * order, and finalize() sorts the ids once by key string. The result
- * is bit-identical to buffering each key's records and reducing them
- * at finalize: a sum adds from 0.0 in the same order, min/max start
- * from the first value and apply std::min / std::max in the same order,
- * an average is that sum over the count, and the output follows
- * std::string ordering.
+ * Each key gets one accumulator {value, n} in a KeyedState; consume()
+ * binds the chunk's keys once, then folds every row into its key's
+ * accumulator in delivery order, and finalize() walks the keys in
+ * sorted order. The result is bit-identical to buffering each key's
+ * records and reducing them at finalize: a sum adds from 0.0 in the
+ * same order, min/max start from the first value and apply std::min /
+ * std::max in the same order, an average is that sum over the count,
+ * and the output follows std::string ordering.
  */
 class FoldReducer : public Reducer
 {
@@ -227,12 +226,7 @@ class FoldReducer : public Reducer
     };
 
     Fold fold_;
-    KeyInterner keys_;
-    /** Indexed by key id. */
-    std::vector<Accumulator> acc_;
-    /** The consumed chunk's key ids mapped to ours; reused across
-     *  chunks. */
-    std::vector<uint32_t> chunk_ids_;
+    KeyedState<Accumulator> acc_;
 };
 
 /** Precise sum-per-key reducer (Hadoop's LongSumReducer analogue). */

@@ -19,15 +19,6 @@ GevDistribution::GevDistribution(double mu, double sigma, double xi)
 }
 
 double
-GevDistribution::inSupport(double x) const
-{
-    if (std::fabs(xi_) < kXiEpsilon) {
-        return true;
-    }
-    return 1.0 + xi_ * (x - mu_) / sigma_ > 0.0;
-}
-
-double
 GevDistribution::cdf(double x) const
 {
     double z = (x - mu_) / sigma_;

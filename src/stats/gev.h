@@ -39,9 +39,6 @@ class GevDistribution
      */
     double quantile(double p) const;
 
-    /** True when @p x lies in the distribution's support. */
-    double inSupport(double x) const;
-
     double mu() const { return mu_; }
     double sigma() const { return sigma_; }
     double xi() const { return xi_; }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -254,6 +255,75 @@ TEST(KeyInternerTest, TagCollisionsCompareKeyBytes)
         EXPECT_EQ(interner.key(0), first);
         EXPECT_EQ(interner.key(1), second);
     }
+}
+
+TEST(KeyedStateTest, BindsChunkKeysInFirstSeenOrder)
+{
+    KeyedState<int> state;
+    KeyTable first;
+    first.add("b");
+    first.add("a");
+    EXPECT_EQ(state.bind(first), (std::vector<uint32_t>{0, 1}));
+    state[0] = 7;
+    KeyTable second;
+    second.add("c");
+    second.add("b");
+    EXPECT_EQ(state.bind(second), (std::vector<uint32_t>{2, 0}));
+    ASSERT_EQ(state.size(), 3u);
+    // A known key keeps its state; a new key starts default.
+    EXPECT_EQ(state[0], 7);
+    EXPECT_EQ(state[2], 0);
+    EXPECT_EQ(state.key(2), "c");
+}
+
+TEST(KeyedStateTest, SortedWalkIsStdStringOrder)
+{
+    // Keys with an embedded '\0', bytes >= 0x80 and the empty key,
+    // sorted in batches: the merged order is std::string's.
+    const std::vector<std::string> batches[] = {
+        {"zz", std::string("a\0b", 3), "\xff"},
+        {"", "a", std::string("a\0", 2)},
+        {"\x80z", "m", "a"},
+    };
+    KeyedState<int> state;
+    std::vector<std::string> want;
+    for (const std::vector<std::string>& batch : batches) {
+        KeyTable chunk;
+        for (const std::string& key : batch) {
+            chunk.add(key);
+            if (std::find(want.begin(), want.end(), key) == want.end()) {
+                want.push_back(key);
+            }
+        }
+        state.bind(chunk);
+        std::sort(want.begin(), want.end());
+        std::vector<std::string> got;
+        for (uint32_t id : state.sorted()) {
+            got.emplace_back(state.key(id));
+        }
+        EXPECT_EQ(got, want);
+        for (uint32_t id = 0; id < state.size(); ++id) {
+            state[id] = static_cast<int>(id);
+        }
+        for (uint32_t id = 0; id < state.size(); ++id) {
+            const int* found = state.find(state.key(id));
+            ASSERT_NE(found, nullptr) << id;
+            EXPECT_EQ(*found, static_cast<int>(id));
+        }
+    }
+    EXPECT_EQ(state.find("b"), nullptr);
+    EXPECT_EQ(state.find(std::string("a\0c", 3)), nullptr);
+}
+
+TEST(KeyedStateTest, AddRejectsARepeatedKey)
+{
+    KeyedState<int> state;
+    state.add("x") = 1;
+    state.add(std::string("x\0", 2)) = 2;
+    EXPECT_THROW(state.add("x"), std::runtime_error);
+    ASSERT_EQ(state.size(), 2u);
+    EXPECT_EQ(*state.find("x"), 1);
+    EXPECT_EQ(*state.find(std::string("x\0", 2)), 2);
 }
 
 }  // namespace
