@@ -42,26 +42,68 @@ ThreadPool::wait()
 void
 ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                return;  // stop_ set and queue drained
-            }
-            task = std::move(queue_.front());
-            queue_.pop_front();
+        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+        if (queue_.empty()) {
+            return;  // stop_ set and queue drained
         }
-        // A packaged_task never throws out of operator(): user exceptions
-        // land in the future's shared state.
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --unfinished_;
-            if (unfinished_ == 0) {
-                idle_cv_.notify_all();
-            }
+        runFront(lock);
+    }
+}
+
+void
+ThreadPool::runFront(std::unique_lock<std::mutex>& lock)
+{
+    std::shared_ptr<detail::PoolEntry> entry = std::move(queue_.front());
+    queue_.pop_front();
+    if (entry->claim()) {
+        lock.unlock();
+        entry->run();
+        entry.reset();
+        lock.lock();
+    } else if (!entry->cancelled()) {
+        return;  // get() took it and accounts for it (finishTaken)
+    }
+    finishOne();
+}
+
+void
+ThreadPool::finishOne()
+{
+    if (--unfinished_ == 0) {
+        idle_cv_.notify_all();
+    }
+    if (helpers_waiting_ > 0) {
+        done_cv_.notify_all();
+    }
+}
+
+void
+ThreadPool::finishTaken()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    finishOne();
+}
+
+void
+ThreadPool::helpUntilReady(const detail::PoolEntry& awaited)
+{
+    // Another thread took the awaited entry. Until it is ready, run the
+    // oldest queued entries here: the caller then computes instead of
+    // idling, and overshoots the awaited result by at most one entry.
+    // The entry's runner sets ready before taking mu_ to report it, so
+    // a check made under mu_ cannot miss the wakeup.
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!awaited.ready()) {
+        if (queue_.empty()) {
+            ++helpers_waiting_;
+            done_cv_.wait(lock, [this, &awaited] {
+                return awaited.ready() || !queue_.empty();
+            });
+            --helpers_waiting_;
+        } else {
+            runFront(lock);
         }
     }
 }

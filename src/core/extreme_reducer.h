@@ -49,8 +49,6 @@ class ApproxExtremeReducer : public ErrorBoundedReducer
     /** Full extreme estimate for one key (fit + CI + observed value). */
     stats::ExtremeEstimate estimateKey(const std::string& key) const;
 
-    bool minimum() const { return minimum_; }
-
   private:
     /** The fit over one key's @p values (failed when null or below
      *  three values). */

@@ -147,9 +147,6 @@ class MultiStageSamplingReducer : public ErrorBoundedReducer
                                                     : ratios_.size();
     }
 
-    Op op() const { return op_; }
-    double confidence() const { return confidence_; }
-
   private:
     /** Folded per-key aggregate for sum/count. */
     struct SumAggregate

@@ -886,10 +886,12 @@ Job::onAttemptFinish(uint64_t task_id, size_t attempt_index)
     }
 
     // Obtain the user map function's real output. In parallel mode the
-    // work was computed (or is still being computed) by the pool; get()
-    // blocks only on *this* task and rethrows any user exception here,
-    // exactly where serial mode would have thrown it. A task the window
-    // never submitted computes inline, as in serial mode.
+    // pool computed it, is computing it, or has not started it; get()
+    // runs an unstarted computation here, and while a worker runs it,
+    // runs other queued computations here instead of waiting. It
+    // rethrows any user exception here, exactly where serial mode would
+    // have thrown it. A task the window never submitted computes
+    // inline, as in serial mode.
     std::vector<MapOutputChunk> chunks;
     if (exec.pending_output.valid()) {
         chunks = exec.pending_output.get();
@@ -1697,14 +1699,12 @@ Job::fillComputeWindow()
 void
 Job::releaseMapOutput(uint64_t task_id)
 {
-    // A worker that has not started the computation skips it; one that
-    // has runs on, and dropping the future only lets its result be freed
-    // as soon as it is written.
-    std::future<std::vector<MapOutputChunk>>& output =
+    // A computation no thread has started is never started; one that
+    // has runs on, and its result is freed as soon as it is written.
+    TaskHandle<std::vector<MapOutputChunk>>& output =
         exec_[task_id].pending_output;
     if (output.valid()) {
-        output_released_[task_id].store(true);
-        output = {};
+        output.cancel();
         --outputs_in_flight_;
     }
 }
@@ -1723,11 +1723,7 @@ Job::launchMapCompute(uint64_t task_id)
     exec_[task_id].pending_output =
         pool_->submit([this, task_id, items_total = task.items_total,
                        approximate = task.approximate,
-                       released = &output_released_[task_id],
                        mapper = std::move(mapper)]() mutable {
-            if (released->load()) {
-                return std::vector<MapOutputChunk>();
-            }
             return computeMapOutput(task_id, items_total, approximate,
                                     std::move(mapper));
         });
@@ -2198,8 +2194,6 @@ Job::start()
     start_time_ = cluster_.now();
     start_energy_wh_ = cluster_.energyWattHours();
     if (config_.num_exec_threads > 1) {
-        output_released_ =
-            std::make_unique<std::atomic<bool>[]>(dataset_.numBlocks());
         pool_ = std::make_unique<ThreadPool>(config_.num_exec_threads);
     }
     if (obs_ != nullptr) {
@@ -2275,7 +2269,7 @@ Job::collectResult()
                 : "collectResult() before job completion");
     }
     // Drain computations of tasks killed mid-flight and release the
-    // workers; their futures were never consumed and are discarded here.
+    // workers; their handles were cancelled and nothing reads them.
     pool_.reset();
 
     JobResult result;

@@ -1,10 +1,8 @@
 #ifndef APPROXHADOOP_MAPREDUCE_JOB_H_
 #define APPROXHADOOP_MAPREDUCE_JOB_H_
 
-#include <atomic>
 #include <deque>
 #include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -138,9 +136,11 @@ class JobFailedError : public std::runtime_error
  * attempt that will finish has started (its sample and flags are frozen
  * by then) and a bounded run-ahead window has room, earliest scheduled
  * finish first, and its output is merged when its completion *event*
- * fires, so the shuffle order — and therefore every estimate,
- * confidence interval, and controller decision — is bit-identical to
- * serial execution (see DESIGN.md, "Parallel wave execution").
+ * fires (while a worker still computes that output, the driver runs
+ * queued computations itself), so the shuffle order — and therefore
+ * every estimate, confidence interval, and controller decision — is
+ * bit-identical to serial execution (see DESIGN.md, "Parallel wave
+ * execution").
  */
 class Job
 {
@@ -359,12 +359,12 @@ class Job
          * simulated-time order, so the merge into the reducers is
          * deterministic regardless of which worker thread finished
          * first. A task that completes before its turn in the window
-         * computes inline. Killed, dropped, and absorbed tasks release
-         * theirs unconsumed (re-attempts reuse the same future: the
+         * computes inline. Killed, dropped, and absorbed tasks cancel
+         * theirs unconsumed (re-attempts reuse the same handle: the
          * computation is a pure function of the frozen sample, so the
          * simulated crash does not invalidate it).
          */
-        std::future<std::vector<MapOutputChunk>> pending_output;
+        TaskHandle<std::vector<MapOutputChunk>> pending_output;
         /**
          * Shuffle fetches issued so far per reduce partition (corrupt
          * fetches included). Indexes the injector's pure corruption
@@ -525,9 +525,9 @@ class Job
      * not yet consumed or released.
      */
     void fillComputeWindow();
-    /** Gives up the unconsumed output of a task that ended without
+    /** Cancels the unconsumed output of a task that ended without
      *  delivering (killed, absorbed, dropped) and frees its window slot;
-     *  a computation no worker has started yet is skipped. */
+     *  a computation no thread has started yet is never started. */
     void releaseMapOutput(uint64_t task_id);
     /** Submits computeMapOutput() for @p task_id to the thread pool. */
     void launchMapCompute(uint64_t task_id);
@@ -635,14 +635,6 @@ class Job
     uint64_t first_block_ = 0;
     ft::FaultInjector injector_;
 
-    /**
-     * One flag per task, allocated with pool_: releaseMapOutput sets it
-     * when the task ends with its computation submitted but unconsumed,
-     * and a worker that has not started that computation yet returns no
-     * output without running the mapper. A task ends once, so the flag
-     * only ever concerns its last submission.
-     */
-    std::unique_ptr<std::atomic<bool>[]> output_released_;
     /**
      * Workers executing real map-task CPU work while the driver thread
      * runs the discrete-event simulation (null when num_exec_threads <= 1).

@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,7 +55,7 @@ TEST(LoggerConcurrency, ConcurrentLinesStayIntact)
     testing::internal::CaptureStderr();
     {
         ThreadPool pool(kThreads);
-        std::vector<std::future<void>> done;
+        std::vector<TaskHandle<void>> done;
         for (int t = 0; t < kThreads; ++t) {
             done.push_back(pool.submit([t, &logger] {
                 for (int i = 0; i < kLinesPerThread; ++i) {

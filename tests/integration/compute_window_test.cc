@@ -9,8 +9,9 @@
  * absorbed after a crash or a lost output, cancelled as a speculative
  * loser — so deferred entries are skipped, released slots are refilled,
  * and the job must still finish with a report byte-identical to the
- * serial run's. A submitted computation whose task ends before a worker
- * starts it is skipped without running the mapper.
+ * serial run's. A submitted computation whose task ends before a thread
+ * starts it is skipped without running the mapper. The driver computes
+ * while it would wait, so a job finishes even when every worker is held.
  *
  * The "ComputeWindow" test-name prefix is matched by the TSan CI job.
  */
@@ -20,6 +21,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +57,26 @@ struct WindowRun
     std::string report;
     mr::Counters counters;
 };
+
+/**
+ * The JSON report of @p result without its wall-clock lines, built as if
+ * at one thread so its `threads` field matches the serial run's too.
+ */
+std::string
+reportWithoutWallClock(const std::string& app, mr::JobConfig config,
+                       const mr::JobResult& result, obs::Observability& obs)
+{
+    config.num_exec_threads = 1;
+    std::istringstream in(
+        obs::JobReport::build(app, config, result, &obs).toJson());
+    std::ostringstream out;
+    for (std::string line; std::getline(in, line);) {
+        if (line.find("\"wall_") == std::string::npos) {
+            out << line << '\n';
+        }
+    }
+    return out.str();
+}
 
 /**
  * Runs projectpop over a 240-block access log at @p threads. The report
@@ -94,16 +116,8 @@ runAt(const Scenario& s, uint32_t threads)
         runner.runAggregation(config, approx,
                               apps::ProjectPopularity::mapperFactory(),
                               apps::ProjectPopularity::kOp);
-    config.num_exec_threads = 1;
-    std::istringstream in(
-        obs::JobReport::build("projectpop", config, result, &obs).toJson());
-    std::ostringstream out;
-    for (std::string line; std::getline(in, line);) {
-        if (line.find("\"wall_") == std::string::npos) {
-            out << line << '\n';
-        }
-    }
-    return {out.str(), result.counters};
+    return {reportWithoutWallClock("projectpop", config, result, obs),
+            result.counters};
 }
 
 /** Runs @p s serially and at 2 and 8 threads; returns the serial run. */
@@ -141,6 +155,18 @@ TEST(ComputeWindowTest, CrashAndCorruptAbsorbDeferredTasks)
     EXPECT_GT(serial.counters.map_outputs_lost, 0u);
 }
 
+TEST(ComputeWindowTest, LostOutputsAreResubmitted)
+{
+    // A lost output fails its task, whose retry submits the computation
+    // again: a second entry for the same task behind the consumed one.
+    Scenario s;
+    s.fault_plan = "corrupt=0.4,seed=5";
+    s.mode = ft::FailureMode::kRetry;
+    WindowRun serial = expectWindowInvisible(s);
+    EXPECT_GT(serial.counters.map_outputs_lost, 0u);
+    EXPECT_EQ(serial.counters.maps_absorbed, 0u);
+}
+
 TEST(ComputeWindowTest, EndgameSpeculationCancelsLosers)
 {
     // Stragglers get end-game twins; whichever attempt wins, the task's
@@ -154,19 +180,46 @@ TEST(ComputeWindowTest, EndgameSpeculationCancelsLosers)
 }
 
 /**
- * Holds pool workers inside Mapper::setup until the driver opens it.
- * Every mapper but the first one created parks there, so once each
- * worker holds one, the computations still queued cannot start.
+ * Holds pool workers inside Mapper::setup until the driver opens it. A
+ * gated mapper parks only on a pool thread: the driver, which computes
+ * while it would wait, runs gated computations straight through, since
+ * only it can open the gate.
  */
 struct Gate
 {
     std::mutex mu;
     std::condition_variable cv;
+    const std::thread::id driver = std::this_thread::get_id();
     int created = 0;  ///< mappers made by the factory (driver thread)
     int setups = 0;   ///< setup() calls, i.e. computations started
+    int driver_setups = 0;  ///< gated setup() calls on the driver
     int parked = 0;
+    int setups_at_open = 0;
     bool open = false;
     bool timed_out = false;
+
+    /** Waits (driver thread) until @p workers computations are parked;
+     *  bounded like the park itself. */
+    void
+    awaitParked(int workers)
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        if (!cv.wait_for(lock, std::chrono::seconds(60), [&] {
+                return parked == workers || timed_out;
+            })) {
+            timed_out = true;
+        }
+    }
+
+    /** Opens the gate (driver thread). */
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        setups_at_open = setups;
+        open = true;
+        cv.notify_all();
+    }
 };
 
 class GatedMapper : public mr::Mapper
@@ -180,6 +233,10 @@ class GatedMapper : public mr::Mapper
         std::unique_lock<std::mutex> lock(gate_.mu);
         ++gate_.setups;
         if (!parks_) {
+            return;
+        }
+        if (std::this_thread::get_id() == gate_.driver) {
+            ++gate_.driver_setups;
             return;
         }
         ++gate_.parked;
@@ -205,34 +262,33 @@ class GatedMapper : public mr::Mapper
 
 /**
  * At the first completion, waits until @p workers computations are
- * parked, ends every other task, then opens the gate.
+ * parked; at completion @p end_at, ends every other task, then opens the
+ * gate.
  */
 class EndAllWhileParked : public mr::JobController
 {
   public:
-    EndAllWhileParked(Gate& gate, int workers)
-        : gate_(gate), workers_(workers)
+    EndAllWhileParked(Gate& gate, int workers, uint64_t end_at = 1)
+        : gate_(gate), workers_(workers), end_at_(end_at)
     {
     }
 
     void
     onMapComplete(mr::JobHandle& job, const mr::MapTaskInfo& /*task*/) override
     {
-        if (job.completedMaps() != 1) {
-            return;
+        if (job.completedMaps() == 1) {
+            gate_.awaitParked(workers_);
         }
-        std::unique_lock<std::mutex> lock(gate_.mu);
-        gate_.cv.wait(lock, [this] {
-            return gate_.parked == workers_ || gate_.timed_out;
-        });
-        job.dropAllRemaining();
-        gate_.open = true;
-        gate_.cv.notify_all();
+        if (job.completedMaps() == end_at_) {
+            job.dropAllRemaining();
+            gate_.release();
+        }
     }
 
   private:
     Gate& gate_;
     int workers_;
+    uint64_t end_at_;
 };
 
 TEST(ComputeWindowTest, EndedTasksSkipUnstartedComputations)
@@ -253,9 +309,17 @@ TEST(ComputeWindowTest, EndedTasksSkipUnstartedComputations)
         config.num_exec_threads = threads;
 
         Gate gate;
-        EndAllWhileParked controller(gate, static_cast<int>(threads));
+        const int workers = static_cast<int>(threads);
+        EndAllWhileParked controller(gate, workers);
         mr::Job job(cluster, data, nn, config);
-        job.setMapperFactory([&gate] {
+        job.setMapperFactory([&gate, workers] {
+            // By now the first computation and one gated one per worker
+            // are queued. Once every worker has parked, the first is
+            // done before the driver reads it, so the driver never
+            // computes while waiting, nor runs a gated computation.
+            if (gate.created == 1 + workers) {
+                gate.awaitParked(workers);
+            }
             return std::make_unique<GatedMapper>(gate, gate.created++ > 0);
         });
         job.setReducerFactory(
@@ -267,9 +331,74 @@ TEST(ComputeWindowTest, EndedTasksSkipUnstartedComputations)
         EXPECT_EQ(result.counters.maps_completed, 1u);
         EXPECT_EQ(result.counters.records_shuffled, 1u);
         // The first computation and one parked per worker ran; every
-        // other submitted one was skipped once its task was killed.
-        EXPECT_EQ(gate.setups, 1 + static_cast<int>(threads));
+        // other submitted one was skipped once its task was killed, and
+        // none started after that.
+        EXPECT_EQ(gate.driver_setups, 0);
+        EXPECT_EQ(gate.setups, 1 + workers);
+        EXPECT_EQ(gate.setups, gate.setups_at_open);
         EXPECT_GT(gate.created, gate.setups);
+    }
+}
+
+/**
+ * Runs 120 ten-record blocks on two Atom servers (four slots each, at
+ * 0.35 the Xeons' speed) and nine Xeons, killing every task left at
+ * completion @p end_at. Every mapper is gated, so each worker parks in
+ * the first computation it takes. Pass 1 of the scheduler fills the Atom
+ * slots first, so at 2 and 8 workers the parked computations belong to
+ * Atom tasks, all still running at the kill; every output the job merges
+ * is computed by the driver.
+ */
+WindowRun
+runWithParkedWorkers(uint32_t threads, uint64_t end_at, Gate& gate)
+{
+    sim::Cluster cluster(sim::ClusterConfig::parse("2atom+9xeon"));
+    hdfs::NameNode nn(cluster.numServers(), 3, 7);
+    std::vector<std::string> records;
+    for (int i = 0; i < 1200; ++i) {
+        records.push_back(std::string("k").append(std::to_string(i % 7)));
+    }
+    hdfs::InMemoryDataset data(records, 10);
+    mr::JobConfig config;
+    config.name = "parked-workers";
+    config.map_cost.noise_sigma = 0.0;
+    config.seed = 5;
+    config.num_exec_threads = threads;
+
+    const int workers = threads > 1 ? static_cast<int>(threads) : 0;
+    EndAllWhileParked controller(gate, workers, end_at);
+    obs::Observability obs;
+    mr::Job job(cluster, data, nn, config);
+    job.setObservability(&obs);
+    job.setMapperFactory(
+        [&gate] { return std::make_unique<GatedMapper>(gate, true); });
+    job.setReducerFactory([] { return std::make_unique<mr::SumReducer>(); });
+    job.setController(&controller);
+    mr::JobResult result = job.run();
+    return {reportWithoutWallClock("parked-workers", config, result, obs),
+            result.counters};
+}
+
+TEST(ComputeWindowTest, DriverComputesWhileWorkersPark)
+{
+    constexpr uint64_t kEndAt = 60;
+    Gate serial_gate;
+    WindowRun serial = runWithParkedWorkers(1, kEndAt, serial_gate);
+    ASSERT_EQ(serial.counters.maps_completed, kEndAt);
+    EXPECT_GT(serial.counters.maps_killed, 0u);
+    for (uint32_t threads : {2u, 8u}) {
+        SCOPED_TRACE(threads);
+        Gate gate;
+        EXPECT_EQ(runWithParkedWorkers(threads, kEndAt, gate).report,
+                  serial.report);
+        ASSERT_FALSE(gate.timed_out);
+        // Each worker parked once, for the whole map phase, and the
+        // driver computed every merged output itself.
+        EXPECT_EQ(gate.parked, static_cast<int>(threads));
+        EXPECT_EQ(gate.setups - gate.driver_setups,
+                  static_cast<int>(threads));
+        EXPECT_EQ(gate.driver_setups, static_cast<int>(kEndAt));
+        EXPECT_EQ(gate.setups, gate.setups_at_open);
     }
 }
 

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,7 +51,7 @@ TEST(StudentTCacheConcurrency, PoolHammerMatchesSerialValues)
     double expect_shared = studentTCritical(0.95, 17.0);
 
     ThreadPool pool(kThreads);
-    std::vector<std::future<bool>> done;
+    std::vector<TaskHandle<bool>> done;
     for (int t = 0; t < kThreads; ++t) {
         done.push_back(pool.submit([t, expect_shared] {
             for (int i = 0; i < kItersPerThread; ++i) {
