@@ -65,11 +65,25 @@ void
 WikiLength::Mapper::mapBatch(const std::string_view* records, size_t count,
                              mr::MapContext& ctx)
 {
+    // A direct-mapped memo from bin number to the task's key id, kept
+    // for this call: records of a bin seen before skip formatting and
+    // hashing the key. A miss formats the key and write() interns it,
+    // which hands back the id the key already has; so the rows and ids
+    // are those of one write() per record however the batch is split.
+    constexpr size_t kMemoEntries = 256;
+    std::array<uint64_t, kMemoEntries> tags{};  // bin number + 1; 0 empty
+    std::array<uint32_t, kMemoEntries> ids;
     char buf[24];
     for (size_t i = 0; i < count; ++i) {
-        uint64_t size = workloads::wikiArticleSize(records[i]);
-        uint64_t bin = size / kBinWidthBytes * kBinWidthBytes;
-        ctx.write(formatBinKey(bin, buf), 1.0);
+        uint64_t bin = workloads::wikiArticleSize(records[i]) /
+                       kBinWidthBytes;
+        size_t slot = bin % kMemoEntries;
+        if (tags[slot] == bin + 1) {
+            ctx.writeId(ids[slot], 1.0);
+            continue;
+        }
+        ids[slot] = ctx.write(formatBinKey(bin * kBinWidthBytes, buf), 1.0);
+        tags[slot] = bin + 1;
     }
 }
 

@@ -25,20 +25,6 @@ ThreadPool::~ThreadPool()
     }
 }
 
-uint64_t
-ThreadPool::unfinishedTasks() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return unfinished_;
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return unfinished_ == 0; });
-}
-
 void
 ThreadPool::workerLoop()
 {
@@ -57,33 +43,16 @@ ThreadPool::runFront(std::unique_lock<std::mutex>& lock)
 {
     std::shared_ptr<detail::PoolEntry> entry = std::move(queue_.front());
     queue_.pop_front();
-    if (entry->claim()) {
-        lock.unlock();
-        entry->run();
-        entry.reset();
-        lock.lock();
-    } else if (!entry->cancelled()) {
-        return;  // get() took it and accounts for it (finishTaken)
+    if (!entry->claim()) {
+        return;  // get() took it, or it was cancelled
     }
-    finishOne();
-}
-
-void
-ThreadPool::finishOne()
-{
-    if (--unfinished_ == 0) {
-        idle_cv_.notify_all();
-    }
+    lock.unlock();
+    entry->run();
+    entry.reset();
+    lock.lock();
     if (helpers_waiting_ > 0) {
         done_cv_.notify_all();
     }
-}
-
-void
-ThreadPool::finishTaken()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    finishOne();
 }
 
 void

@@ -53,12 +53,6 @@ class PoolEntry
                                        std::memory_order_acq_rel);
     }
 
-    bool
-    cancelled() const
-    {
-        return state_.load(std::memory_order_acquire) == kCancelled;
-    }
-
     /** Runs the work (after a successful claim) and publishes the
      *  result; never throws, the work's exception is stored. */
     void
@@ -224,10 +218,6 @@ class ThreadPool
     /** Number of worker threads. */
     unsigned numThreads() const { return static_cast<unsigned>(workers_.size()); }
 
-    /** Entries accepted whose work has neither finished nor been
-     *  skipped after a cancel(). */
-    uint64_t unfinishedTasks() const;
-
     /**
      * Enqueues @p fn for execution and returns its handle.
      * @p fn may be move-only (it is invoked at most once).
@@ -243,7 +233,6 @@ class ThreadPool
         {
             std::lock_guard<std::mutex> lock(mu_);
             queue_.push_back(entry);
-            ++unfinished_;
             if (helpers_waiting_ > 0) {
                 done_cv_.notify_all();
             }
@@ -251,9 +240,6 @@ class ThreadPool
         cv_.notify_one();
         return TaskHandle<R>(this, std::move(entry));
     }
-
-    /** Blocks until every entry submitted so far has finished. */
-    void wait();
 
   private:
     template <typename R>
@@ -263,20 +249,14 @@ class ThreadPool
     /** Pops the oldest entry and runs it unless it was taken or
      *  cancelled; called and returns with @p lock held. */
     void runFront(std::unique_lock<std::mutex>& lock);
-    /** Accounts for one entry leaving the pool (mu_ held). */
-    void finishOne();
-    /** Accounts for an entry get() took and ran on its own thread. */
-    void finishTaken();
     /** Runs queued entries until @p awaited is ready (see get()). */
     void helpUntilReady(const detail::PoolEntry& awaited);
 
     std::vector<std::thread> workers_;
     std::deque<std::shared_ptr<detail::PoolEntry>> queue_;
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::condition_variable cv_;       ///< signals workers: work or stop
-    std::condition_variable idle_cv_;  ///< signals waiters: all drained
     std::condition_variable done_cv_;  ///< signals helpers: entry done or work
-    uint64_t unfinished_ = 0;
     unsigned helpers_waiting_ = 0;
     bool stop_ = false;
 };
@@ -289,7 +269,6 @@ TaskHandle<R>::get()
     if (!entry->ready()) {
         if (entry->claim()) {
             entry->run();
-            pool_->finishTaken();
         } else {
             pool_->helpUntilReady(*entry);
         }

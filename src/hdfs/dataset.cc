@@ -94,24 +94,37 @@ GeneratedDataset::item(uint64_t block, uint64_t index) const
         std::lock_guard<std::mutex> lock(cache_mu_);
         auto it = cache_.find(block);
         if (it != cache_.end()) {
-            return std::string(it->second.record(index));
+            return std::string(it->second->record(index));
         }
     }
     return generator_(block, index);
+}
+
+bool
+RecordBuffer::takesAllOf(const RecordBuffer& source, const uint64_t* indices,
+                         size_t count) const
+{
+    if (size() != 0 || payloadBytes() != 0 || count != source.size()) {
+        return false;
+    }
+    for (size_t i = 0; i < count; ++i) {
+        if (indices[i] != i) {
+            return false;
+        }
+    }
+    return true;
 }
 
 void
 RecordBuffer::appendFrom(const RecordBuffer& source, const uint64_t* indices,
                          size_t count)
 {
-    bool whole =
-        bytes_.empty() && ends_.empty() && count == source.size();
-    for (size_t i = 0; whole && i < count; ++i) {
-        whole = indices[i] == i;
-    }
-    if (whole) {
-        bytes_ = source.bytes_;
-        ends_ = source.ends_;
+    // Keeps shared records alive while they are read: @p source may be
+    // the buffer we share.
+    std::shared_ptr<const RecordBuffer> keep = unshare();
+    if (takesAllOf(source, indices, count)) {
+        bytes_ = source.data().bytes_;
+        ends_ = source.data().ends_;
         return;
     }
     size_t bytes = 0;
@@ -123,6 +136,17 @@ RecordBuffer::appendFrom(const RecordBuffer& source, const uint64_t* indices,
     for (size_t i = 0; i < count; ++i) {
         append(source.record(indices[i]));
     }
+}
+
+void
+RecordBuffer::appendFrom(std::shared_ptr<const RecordBuffer> source,
+                         const uint64_t* indices, size_t count)
+{
+    if (takesAllOf(*source, indices, count)) {
+        shared_ = source->shared_ ? source->shared_ : std::move(source);
+        return;
+    }
+    appendFrom(*source, indices, count);
 }
 
 void
@@ -143,13 +167,17 @@ GeneratedDataset::readItems(uint64_t block, const uint64_t* indices,
                             size_t count, RecordBuffer& out) const
 {
     assert(block < num_blocks_);
+    std::shared_ptr<const RecordBuffer> cached;
     {
         std::lock_guard<std::mutex> lock(cache_mu_);
         auto it = cache_.find(block);
         if (it != cache_.end()) {
-            out.appendFrom(it->second, indices, count);
-            return;
+            cached = it->second;
         }
+    }
+    if (cached) {
+        out.appendFrom(std::move(cached), indices, count);
+        return;
     }
     // Whole-block synthesis (which feeds the cache) only pays off when
     // the full block is requested — precise scans, which also re-read
@@ -163,15 +191,15 @@ GeneratedDataset::readItems(uint64_t block, const uint64_t* indices,
     }
     // count == items_per_block_ and indices are distinct and in range,
     // so they cover the block exactly (though not necessarily in order).
-    RecordBuffer full;
+    auto full = std::make_shared<RecordBuffer>();
     std::vector<uint64_t> all(items_per_block_);
     std::iota(all.begin(), all.end(), 0);
-    generate(block, all.data(), all.size(), full);
-    out.appendFrom(full, indices, count);
+    generate(block, all.data(), all.size(), *full);
+    out.appendFrom(*full, indices, count);
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_bytes_ + full.payloadBytes() <= cache_cap_bytes_ &&
+    if (cache_bytes_ + full->payloadBytes() <= cache_cap_bytes_ &&
         cache_.find(block) == cache_.end()) {
-        cache_bytes_ += full.payloadBytes();
+        cache_bytes_ += full->payloadBytes();
         cache_.emplace(block, std::move(full));
     }
 }

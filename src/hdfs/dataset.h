@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -16,22 +17,41 @@ namespace approxhadoop::hdfs {
  * boundaries, so a batch of records costs one allocation instead of one
  * std::string each. Producers either append() whole records or write
  * bytes straight into bytes() and mark boundaries with endRecord().
+ *
+ * A buffer may instead share another, immutable buffer's records (see
+ * appendFrom): a whole, in-order read of a cached block then costs a
+ * reference count, not a copy of the block. Reads see the shared
+ * records; the first write (bytes(), endRecord(), append(), appendFrom)
+ * copies them into the buffer's own arena. The shared records live as
+ * long as any buffer sharing them, so a buffer may outlive the dataset
+ * it was read from.
  */
 class RecordBuffer
 {
   public:
     /** Raw byte sink; append record bytes here, then call endRecord(). */
-    std::string& bytes() { return bytes_; }
+    std::string&
+    bytes()
+    {
+        unshare();
+        return bytes_;
+    }
 
     /** Marks the end of the record being written into bytes(). */
-    void endRecord() { ends_.push_back(bytes_.size()); }
+    void
+    endRecord()
+    {
+        unshare();
+        ends_.push_back(bytes_.size());
+    }
 
-    /** Appends one complete record. */
+    /** Appends one complete record (which may view this buffer). */
     void
     append(std::string_view record)
     {
+        std::shared_ptr<const RecordBuffer> keep = unshare();
         bytes_.append(record);
-        endRecord();
+        ends_.push_back(bytes_.size());
     }
 
     /**
@@ -43,30 +63,67 @@ class RecordBuffer
     void appendFrom(const RecordBuffer& source, const uint64_t* indices,
                     size_t count);
 
+    /**
+     * As above, except that an empty buffer asked for every record of
+     * @p source in order shares @p source's records instead of copying
+     * them. @p source must never be written to again.
+     */
+    void appendFrom(std::shared_ptr<const RecordBuffer> source,
+                    const uint64_t* indices, size_t count);
+
     /** Number of complete records. */
-    size_t size() const { return ends_.size(); }
+    size_t size() const { return data().ends_.size(); }
 
     /** View of record @p i; valid until the buffer is cleared/appended. */
     std::string_view
     record(size_t i) const
     {
-        size_t begin = i == 0 ? 0 : ends_[i - 1];
-        return std::string_view(bytes_).substr(begin, ends_[i] - begin);
+        const RecordBuffer& d = data();
+        size_t begin = i == 0 ? 0 : d.ends_[i - 1];
+        return std::string_view(d.bytes_).substr(begin, d.ends_[i] - begin);
     }
 
     /** Total payload bytes. */
-    size_t payloadBytes() const { return bytes_.size(); }
+    size_t payloadBytes() const { return data().bytes_.size(); }
 
     void
     clear()
     {
+        shared_.reset();
         bytes_.clear();
         ends_.clear();
     }
 
   private:
+    /** The buffer whose arena holds our records: the shared one, if any
+     *  (which never shares another itself), else this one. */
+    const RecordBuffer& data() const { return shared_ ? *shared_ : *this; }
+
+    /** Whether @p indices[0..count) is every record of @p source, in
+     *  order, and this buffer is empty. */
+    bool takesAllOf(const RecordBuffer& source, const uint64_t* indices,
+                    size_t count) const;
+
+    /**
+     * Copies shared records into our own arena and stops sharing them.
+     * Returns the reference it dropped (null when not sharing), so a
+     * caller may keep the old records alive while it still reads them.
+     */
+    std::shared_ptr<const RecordBuffer>
+    unshare()
+    {
+        std::shared_ptr<const RecordBuffer> dropped = std::move(shared_);
+        if (dropped) {
+            bytes_ = dropped->bytes_;
+            ends_ = dropped->ends_;
+        }
+        return dropped;
+    }
+
     std::string bytes_;
     std::vector<size_t> ends_;
+    /** Records shared instead of held; bytes_ and ends_ are empty then. */
+    std::shared_ptr<const RecordBuffer> shared_;
 };
 
 /**
@@ -161,8 +218,10 @@ class InMemoryDataset : public BlockDataset
  * the same blocks across runs and repetitions, and re-synthesizing them
  * (one seeded Rng stream per record) each time would dominate wall-clock
  * time without modeling anything (real input bytes exist; they are not
- * recomputed per read). The cache never changes record content, only where the bytes
- * come from.
+ * recomputed per read). The cache never changes record content, only
+ * where the bytes come from. A cached block is immutable: a whole,
+ * in-order read of it into an empty buffer shares its records
+ * (RecordBuffer::appendFrom) instead of copying them; other reads copy.
  */
 class GeneratedDataset : public BlockDataset
 {
@@ -213,9 +272,11 @@ class GeneratedDataset : public BlockDataset
     size_t cache_cap_bytes_ = kDefaultCacheCapBytes;
 
     // Block cache: fully synthesized blocks, keyed by block id. Guarded
-    // by cache_mu_ because parallel map tasks read concurrently.
+    // by cache_mu_ because parallel map tasks read concurrently; the
+    // blocks themselves are immutable and shared with readers.
     mutable std::mutex cache_mu_;
-    mutable std::unordered_map<uint64_t, RecordBuffer> cache_;
+    mutable std::unordered_map<uint64_t, std::shared_ptr<const RecordBuffer>>
+        cache_;
     mutable size_t cache_bytes_ = 0;
 };
 

@@ -63,9 +63,17 @@ chunkChecksum(const mr::MapOutputChunk& chunk)
             }
         }
         char* p = buf + used;
-        storeU64(p, key.size());
-        std::memcpy(p + 8, key.data(), key.size());
-        putValues(p + 8 + key.size(), row);
+        size_t n = key.size();
+        storeU64(p, n);
+        if (n >= 8 && n <= 16) {
+            // The common intermediate key size: two overlapping word
+            // copies instead of a variable-length memcpy call.
+            std::memcpy(p + 8, key.data(), 8);
+            std::memcpy(p + n, key.data() + n - 8, 8);
+        } else {
+            std::memcpy(p + 8, key.data(), n);
+        }
+        putValues(p + 8 + n, row);
         used += len;
     }
     h.update(buf, used);

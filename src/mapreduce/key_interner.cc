@@ -146,6 +146,15 @@ KeyInterner::intern(std::string_view key)
 }
 
 void
+KeyInterner::reserve(size_t keys)
+{
+    size_t want = roundUpPow2(2 * std::min(keys, kMaxReservedSlots / 2));
+    if (want > slots_.size()) {
+        rehash(want);
+    }
+}
+
+void
 KeyInterner::rehash(size_t new_slots)
 {
     assert((new_slots & (new_slots - 1)) == 0);

@@ -69,9 +69,10 @@ class KeyTable
  * of re-hashing and re-comparing std::strings per record. Ids are stable
  * for the table's lifetime.
  *
- * Ids never depend on the hash: it only places probes, so the id order,
- * and everything built on it, is the same on every platform. Linear
- * probing, growth at 70% load. Not thread-safe; each map task's output
+ * Ids never depend on the hash or the table size: they only place
+ * probes, so the id order, and everything built on it, is the same on
+ * every platform and however the table was sized. Linear probing,
+ * growth at 70% load. Not thread-safe; each map task's output
  * and each reducer owns its own.
  */
 class KeyInterner
@@ -92,6 +93,18 @@ class KeyInterner
 
     /** Number of distinct keys interned. */
     size_t size() const { return keys_.size(); }
+
+    /**
+     * Grows the probe table so that @p keys keys fill at most half of
+     * it, capped at kMaxReservedSlots so a large batch never zeroes a
+     * large table; interning past that grows the table as usual. Never
+     * shrinks it. A table sized from its input probes at a low load
+     * from the first key instead of filling up and rehashing on the way.
+     */
+    void reserve(size_t keys);
+
+    /** reserve()'s cap: 4096 slots, 32 KB. */
+    static constexpr size_t kMaxReservedSlots = 4096;
 
     /** Moves the keys out of an interner that is done. */
     KeyTable release() && { return std::move(keys_); }

@@ -36,7 +36,8 @@ class MapContext
           items_processed_(items_processed), approximate_(approximate),
           rng_(rng)
     {
-        // Most map functions emit one record per item.
+        // Most map functions emit one record per item, so the task's
+        // row buffer and key table are sized from its input.
         output_.reserve(items_processed);
     }
 
@@ -44,12 +45,25 @@ class MapContext
      * Emits an intermediate record: @p value alone, a ratio observation
      * (numerator @p value, denominator @p value2), or a three-stage unit
      * record using all four values (see core/three_stage_reducer.h).
+     * Returns the key's id, which writeId() takes.
      */
-    void
+    uint32_t
     write(std::string_view key, double value, double value2 = 0.0,
           double value3 = 0.0, double value4 = 0.0)
     {
-        output_.write(key, value, value2, value3, value4);
+        return output_.write(key, value, value2, value3, value4);
+    }
+
+    /**
+     * Emits a record under @p id, a key id an earlier write() of this
+     * task returned (RecordWriter::writeId): a mapper that remembers
+     * its keys' ids skips hashing them again.
+     */
+    void
+    writeId(uint32_t id, double value, double value2 = 0.0,
+            double value3 = 0.0, double value4 = 0.0)
+    {
+        output_.writeId(id, value, value2, value3, value4);
     }
 
     uint64_t taskId() const { return task_id_; }

@@ -1,5 +1,6 @@
 #include "apps/wiki_apps.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -72,6 +73,83 @@ TEST(WikiLengthTest, MapAndMapBatchEmitTheSameKeys)
         EXPECT_EQ(a[i].value, 1.0);
         EXPECT_EQ(b[i].value, 1.0);
     }
+}
+
+TEST(WikiLengthTest, MemoCollisionsEmitTheSameRows)
+{
+    // The mapper memoizes bin -> key id in 256 direct-mapped entries.
+    // Bins q, q + 256 and q + 512 share an entry; 300 distinct bins
+    // outnumber the entries; bins repeat; sizes lie on both sides of
+    // 10^8, where the key stops being zero-padded; a record without a
+    // tab has size 0 and shares bin 0's entry.
+    std::vector<uint64_t> sizes;
+    for (uint64_t q = 0; q < 300; ++q) {
+        sizes.push_back(q * 100 + q % 100);
+    }
+    for (uint64_t q : {3, 259, 515, 3, 259, 3, 515, 515}) {
+        sizes.push_back(q * 100 + 7);
+    }
+    for (uint64_t size : {99999999ull, 100000000ull, 100025600ull,
+                          99999999ull, 100000099ull, 18446744073709551615ull}) {
+        sizes.push_back(size);
+    }
+    for (uint64_t q = 300; q-- > 0;) {
+        sizes.push_back(q * 100 + 99 - q % 100);
+    }
+    std::vector<std::string> records;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+        std::string record = "a";
+        record.append(std::to_string(i)).append("\t");
+        records.push_back(record.append(std::to_string(sizes[i])).append("\t"));
+    }
+    records.insert(records.begin() + 150, "no-tabs-here");
+    records.push_back("no-tabs-here");
+
+    auto context = [&records] {
+        return mr::MapContext(0, records.size(), records.size(), false,
+                              Rng(1));
+    };
+    mr::MapContext reference = context();
+    for (const std::string& record : records) {
+        reference.write(
+            WikiLength::binKey(workloads::wikiArticleSize(record)), 1.0);
+    }
+    auto expectSameOutput = [&reference](mr::MapContext& ctx,
+                                         const std::string& how) {
+        const mr::RecordWriter& want = reference.output();
+        const mr::RecordWriter& got = ctx.output();
+        ASSERT_EQ(got.size(), want.size()) << how;
+        for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].key, want[i].key) << how << " row " << i;
+            ASSERT_EQ(got[i].value, want[i].value) << how << " row " << i;
+            ASSERT_EQ(got[i].value2, 0.0) << how << " row " << i;
+            ASSERT_EQ(got[i].value3, 0.0) << how << " row " << i;
+            ASSERT_EQ(got[i].value4, 0.0) << how << " row " << i;
+        }
+        ASSERT_EQ(got.keys().size(), want.keys().size()) << how;
+        for (uint32_t id = 0; id < want.keys().size(); ++id) {
+            ASSERT_EQ(got.keys().key(id), want.keys().key(id))
+                << how << " id " << id;
+        }
+    };
+    ASSERT_GT(reference.output().keys().size(), 300u);
+
+    std::vector<std::string_view> views(records.begin(), records.end());
+    for (size_t split : {views.size(), size_t{1}, size_t{7}, size_t{256}}) {
+        WikiLength::Mapper mapper;
+        mr::MapContext ctx = context();
+        for (size_t pos = 0; pos < views.size(); pos += split) {
+            mapper.mapBatch(views.data() + pos,
+                            std::min(split, views.size() - pos), ctx);
+        }
+        expectSameOutput(ctx, "mapBatch in calls of " + std::to_string(split));
+    }
+    WikiLength::Mapper mapper;
+    mr::MapContext single = context();
+    for (const std::string& record : records) {
+        mapper.map(record, single);
+    }
+    expectSameOutput(single, "map() per record");
 }
 
 TEST(WikiLengthTest, PreciseCountsMatchDataset)

@@ -64,19 +64,22 @@ TEST(ThreadPoolTest, TasksRunConcurrentlyAcrossWorkers)
 {
     // One task blocks until another task (necessarily on a different
     // worker) runs: passes only if the pool truly executes in parallel.
-    // wait() does no pool work, so only the two workers run them.
-    ThreadPool pool(2);
+    // The destructor does no pool work, so only the two workers run them.
     std::promise<void> unblock;
     std::shared_future<void> gate = unblock.get_future().share();
-    TaskHandle<int> waiter = pool.submit([gate] {
-        gate.wait();
-        return 1;
-    });
-    TaskHandle<int> opener = pool.submit([&unblock] {
-        unblock.set_value();
-        return 2;
-    });
-    pool.wait();
+    TaskHandle<int> waiter;
+    TaskHandle<int> opener;
+    {
+        ThreadPool pool(2);
+        waiter = pool.submit([gate] {
+            gate.wait();
+            return 1;
+        });
+        opener = pool.submit([&unblock] {
+            unblock.set_value();
+            return 2;
+        });
+    }
     EXPECT_EQ(waiter.get(), 1);
     EXPECT_EQ(opener.get(), 2);
 }
@@ -95,21 +98,6 @@ TEST(ThreadPoolTest, StressManySmallTasksSumCorrectly)
         f.get();
     }
     EXPECT_EQ(sum.load(), int64_t{kTasks} * (kTasks + 1) / 2);
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilAllTasksFinish)
-{
-    ThreadPool pool(4);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&done] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            ++done;
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(done.load(), 32);
-    EXPECT_EQ(pool.unfinishedTasks(), 0u);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks)
@@ -199,26 +187,27 @@ TEST(ThreadPoolTest, GetRunsOtherEntriesWhileTheAwaitedOneIsHeld)
 
 TEST(ThreadPoolTest, CancelledEntriesNeverRun)
 {
-    ThreadPool pool(1);
     std::atomic<int> cancelled_runs{0};
-    // Skipped by a helping caller...
-    ParkedWorker parked(pool);
-    TaskHandle<void> skipped_by_helper =
-        pool.submit([&cancelled_runs] { ++cancelled_runs; });
-    skipped_by_helper.cancel();
-    EXPECT_FALSE(skipped_by_helper.valid());
-    TaskHandle<void> opener = pool.submit([&parked] { parked.open(); });
-    parked.handle().get();
-    // ...and by a worker.
-    ParkedWorker parked_again(pool);
-    TaskHandle<void> skipped_by_worker =
-        pool.submit([&cancelled_runs] { ++cancelled_runs; });
-    skipped_by_worker.cancel();
-    parked_again.open();
-    pool.wait();
+    TaskHandle<void> opener;
+    {
+        ThreadPool pool(1);
+        // Skipped by a helping caller...
+        ParkedWorker parked(pool);
+        TaskHandle<void> skipped_by_helper =
+            pool.submit([&cancelled_runs] { ++cancelled_runs; });
+        skipped_by_helper.cancel();
+        EXPECT_FALSE(skipped_by_helper.valid());
+        opener = pool.submit([&parked] { parked.open(); });
+        parked.handle().get();
+        // ...and by a worker, before the destructor joins it.
+        ParkedWorker parked_again(pool);
+        TaskHandle<void> skipped_by_worker =
+            pool.submit([&cancelled_runs] { ++cancelled_runs; });
+        skipped_by_worker.cancel();
+        parked_again.open();
+    }
     opener.get();
     EXPECT_EQ(cancelled_runs.load(), 0);
-    EXPECT_EQ(pool.unfinishedTasks(), 0u);
 }
 
 TEST(ThreadPoolTest, GetRethrowsTheExceptionOfAnEntryRunInline)
@@ -253,9 +242,6 @@ TEST(ThreadPoolTest, DestructorDrainsTakenAndCancelledEntries)
     pool->submit([&queued_runs] { ++queued_runs; });
     cancelled.cancel();
     taken.get();
-    // The parked entry, the cancelled one until it is skipped, and the
-    // untouched one; get() accounted for the entry it took.
-    EXPECT_EQ(pool->unfinishedTasks(), 3u);
     std::thread releaser([&parked] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         parked.open();
@@ -274,8 +260,6 @@ TEST(ThreadPoolTest, StaleEntryCannotClaimALaterSubmission)
     // was lost is: the first submission is read inline, the second
     // cancelled. Their entries stay queued ahead of the third, and the
     // worker that skips them must still run the third exactly once.
-    ThreadPool pool(1);
-    ParkedWorker parked(pool);
     std::atomic<int> runs[3] = {0, 0, 0};
     auto work = [&runs](int submission) {
         return [&runs, submission] {
@@ -283,13 +267,17 @@ TEST(ThreadPoolTest, StaleEntryCannotClaimALaterSubmission)
             return submission;
         };
     };
-    TaskHandle<int> read_inline = pool.submit(work(0));
-    EXPECT_EQ(read_inline.get(), 0);
-    TaskHandle<int> cancelled = pool.submit(work(1));
-    cancelled.cancel();
-    TaskHandle<int> latest = pool.submit(work(2));
-    parked.open();
-    pool.wait();
+    TaskHandle<int> latest;
+    {
+        ThreadPool pool(1);
+        ParkedWorker parked(pool);
+        TaskHandle<int> read_inline = pool.submit(work(0));
+        EXPECT_EQ(read_inline.get(), 0);
+        TaskHandle<int> cancelled = pool.submit(work(1));
+        cancelled.cancel();
+        latest = pool.submit(work(2));
+        parked.open();
+    }
     EXPECT_EQ(latest.get(), 2);
     EXPECT_EQ(runs[0].load(), 1);
     EXPECT_EQ(runs[1].load(), 0);

@@ -5,6 +5,7 @@
  * across rehashes; collisions must probe, not clobber.
  */
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -254,6 +255,70 @@ TEST(KeyInternerTest, TagCollisionsCompareKeyBytes)
         EXPECT_EQ(interner.intern(second), 1u) << second;
         EXPECT_EQ(interner.key(0), first);
         EXPECT_EQ(interner.key(1), second);
+    }
+}
+
+TEST(KeyInternerTest, IdsDoNotDependOnTableSize)
+{
+    // One key sequence — repeats, an empty key, a NUL byte, key lengths
+    // on both sides of the word-pair compare — through a 4-slot table
+    // that rehashes many times, the default table, a table reserved to
+    // the cap up front and one reserved halfway through.
+    std::vector<std::string> sequence;
+    for (int i = 0; i < 3000; ++i) {
+        int k = i % 7 == 0 ? i / 7 : (i * 37) % 1500;
+        std::string key = "key" + std::string(static_cast<size_t>(k % 19), '.') +
+                          std::to_string(k);
+        sequence.push_back(key);
+    }
+    sequence.insert(sequence.begin() + 100, "");
+    sequence.insert(sequence.begin() + 200, std::string("nul\0byte", 8));
+    KeyInterner tiny(4);
+    KeyInterner standard;
+    KeyInterner reserved;
+    reserved.reserve(4096);
+    EXPECT_EQ(reserved.slotCount(), KeyInterner::kMaxReservedSlots);
+    KeyInterner halfway(4);
+    std::vector<uint32_t> ids;
+    for (size_t i = 0; i < sequence.size(); ++i) {
+        if (i == sequence.size() / 2) {
+            halfway.reserve(KeyInterner::kMaxReservedSlots);
+        }
+        uint32_t id = tiny.intern(sequence[i]);
+        ids.push_back(id);
+        ASSERT_EQ(standard.intern(sequence[i]), id) << i;
+        ASSERT_EQ(reserved.intern(sequence[i]), id) << i;
+        ASSERT_EQ(halfway.intern(sequence[i]), id) << i;
+    }
+    ASSERT_GT(tiny.size(), 1000u);
+    for (KeyInterner* other : {&standard, &reserved, &halfway}) {
+        ASSERT_EQ(other->size(), tiny.size());
+        for (uint32_t id = 0; id < tiny.size(); ++id) {
+            ASSERT_EQ(other->key(id), tiny.key(id)) << id;
+        }
+    }
+    // Reserving below the current size changes nothing, and the cap
+    // holds however many keys are asked for.
+    size_t grown = standard.slotCount();
+    standard.reserve(10);
+    standard.reserve(standard.size());
+    EXPECT_EQ(standard.slotCount(), grown);
+    KeyInterner capped;
+    capped.reserve(SIZE_MAX);
+    EXPECT_EQ(capped.slotCount(), KeyInterner::kMaxReservedSlots);
+
+    std::vector<KeyTable> tables;
+    for (KeyInterner* interner : {&tiny, &standard, &reserved, &halfway}) {
+        tables.push_back(std::move(*interner).release());
+    }
+    for (const KeyTable& table : tables) {
+        ASSERT_EQ(table.size(), tables[0].size());
+        for (uint32_t id = 0; id < table.size(); ++id) {
+            ASSERT_EQ(table.key(id), tables[0].key(id)) << id;
+        }
+    }
+    for (size_t i = 0; i < sequence.size(); ++i) {
+        ASSERT_EQ(tables[0].key(ids[i]), sequence[i]) << i;
     }
 }
 

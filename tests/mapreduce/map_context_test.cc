@@ -28,6 +28,32 @@ TEST(MapContextTest, WriteVariants)
     EXPECT_DOUBLE_EQ(ctx.output()[1].value2, 3.0);
 }
 
+TEST(MapContextTest, OutputIsSizedFromTheTaskInput)
+{
+    // 400 items: a key table of 1024 slots holds every key the task can
+    // write at under half load, so it never rehashes.
+    MapContext ctx(0, 400, 400, false, Rng(3));
+    EXPECT_EQ(ctx.output().keys().slotCount(), 1024u);
+    MapContext sampled(0, 400, 40, false, Rng(3));
+    EXPECT_EQ(sampled.output().keys().slotCount(), 128u);
+}
+
+TEST(MapContextTest, WriteIdAppendsUnderAnExistingKey)
+{
+    MapContext ctx(0, 3, 3, false, Rng(4));
+    uint32_t a = ctx.write("a", 1.0);
+    uint32_t b = ctx.write("b", 2.0);
+    EXPECT_EQ(ctx.write("a", 3.0), a);
+    ctx.writeId(b, 4.0, 5.0);
+    const RecordWriter& out = ctx.output();
+    ASSERT_EQ(out.size(), 4u);
+    EXPECT_EQ(out.keys().size(), 2u);
+    EXPECT_EQ(out[3].key, b);
+    EXPECT_EQ(out.key(out[3]), "b");
+    EXPECT_DOUBLE_EQ(out[3].value, 4.0);
+    EXPECT_DOUBLE_EQ(out[3].value2, 5.0);
+}
+
 TEST(MapContextTest, RngIsUsableAndStable)
 {
     MapContext a(3, 10, 10, false, Rng(99));
